@@ -9,26 +9,19 @@ each corrected record).
 
 import time
 
-from xyzspectra import (
-    descriptor_records,
-    list_cases,
-    petersen_graph,
-    verify_case,
-)
+from xyzspectra import descriptor_records, petersen_graph, run_corpus
 
 g = petersen_graph()
 print(f"Verifying all 64 cases on the Petersen graph (n={g.n}, m={g.m})...")
 
 start = time.perf_counter()
-bad = 0
-for case in list_cases():
-    res = verify_case(g, case, "petersen")
+report = run_corpus([("petersen", g)])
+for res in report.results:
     if res.outcome != "match":
-        bad += 1
-        print(f"  {res.outcome}: case {case} ({res.error})")
+        print(f"  {res.outcome}: case {res.case} ({res.error})")
 elapsed = time.perf_counter() - start
 
-print(f"done in {elapsed:.1f}s: {64 - bad}/64 exact matches")
+print(f"done in {elapsed:.1f}s: {64 - len(report.failures)}/64 exact matches")
 print()
 
 corrected = [rec for rec in descriptor_records() if rec["status"] == "corrected"]

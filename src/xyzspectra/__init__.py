@@ -9,7 +9,6 @@ from .exactpoly import (
     DegreeMismatch,
     IntPoly,
     NotDivisible,
-    RatPoly,
     charpoly,
     compose_linear,
     det,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 irregular input graph, 4 formula evaluation error.  Polynomial output
-is the ascending coefficient list in decimal, one line, so runs over the
-same input are byte-identical.  Data goes to stdout, diagnostics to
+3 irregular input graph, 4 formula evaluation error.  An edgeless input
+graph exits 2 from transform, formula and verify; charpoly accepts it.
+Polynomial output is the ascending coefficient list in decimal, one
+line, so runs over the same input are byte-identical.  Data goes to stdout, diagnostics to
 stderr.
 """
 
@@ -22,7 +23,7 @@ from .formulas import (
 from .graph import Graph, GraphError, format_edge_list, generate, parse_edge_list, regularity
 from .linalg import adjacency, laplacian, signless_laplacian
 from .transform import XyzCase, xyz_transform
-from .verify import default_corpus, report_to_json, run_corpus, verify_case
+from .verify import default_corpus, report_to_json, run_corpus
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -51,10 +52,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_case(text: str) -> XyzCase:
-    return XyzCase.parse(text)
-
-
 def cmd_gen(args) -> int:
     try:
         g = generate(args.kind, [int(p) for p in args.params])
@@ -66,7 +63,7 @@ def cmd_gen(args) -> int:
 
 def cmd_transform(args) -> int:
     try:
-        case = _parse_case(args.case)
+        case = XyzCase.parse(args.case)
     except GraphError as exc:
         return _fail(EXIT_USAGE, f"transform: {exc}")
     try:
@@ -75,6 +72,8 @@ def cmd_transform(args) -> int:
         return _fail(EXIT_USAGE, f"transform: {exc}")
     if regularity(g) is None:
         return _fail(EXIT_IRREGULAR, "transform: input graph is not regular")
+    if g.m < 1:
+        return _fail(EXIT_USAGE, "transform: input graph has no edges")
     _emit(format_edge_list(xyz_transform(g, case)), args.out)
     return EXIT_OK
 
@@ -91,7 +90,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_formula(args) -> int:
     try:
-        case = _parse_case(args.case)
+        case = XyzCase.parse(args.case)
     except GraphError as exc:
         return _fail(EXIT_USAGE, f"formula: {exc}")
     try:
@@ -101,6 +100,8 @@ def cmd_formula(args) -> int:
     r = regularity(g)
     if r is None:
         return _fail(EXIT_IRREGULAR, "formula: input graph is not regular")
+    if g.m < 1:
+        return _fail(EXIT_USAGE, "formula: input graph has no edges")
     desc = descriptor_for(case)
     f = charpoly(signless_laplacian(g))
     try:
@@ -121,22 +122,21 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_USAGE, f"verify: {exc}")
     if regularity(g) is None:
         return _fail(EXIT_IRREGULAR, "verify: input graph is not regular")
+    if g.m < 1:
+        return _fail(EXIT_USAGE, "verify: input graph has no edges")
     if args.all:
         cases = list_cases()
     else:
         try:
-            cases = [_parse_case(args.case)]
+            cases = [XyzCase.parse(args.case)]
         except GraphError as exc:
             return _fail(EXIT_USAGE, f"verify: {exc}")
-    bad = 0
-    for case in cases:
-        res = verify_case(g, case)
+    report = run_corpus([(args.input, g)], cases)
+    for res in report.results:
         tag = "PASS" if res.outcome == "match" else "FAIL"
         detail = "" if res.outcome == "match" else f"  [{res.outcome}: {res.error or 'nonzero diff'}]"
-        print(f"{tag} {case}{detail}")
-        if res.outcome != "match":
-            bad += 1
-    return EXIT_OK if bad == 0 else EXIT_MISMATCH
+        print(f"{tag} {res.case}{detail}")
+    return EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
 def cmd_corpus(args) -> int:

@@ -9,14 +9,11 @@ point, no modular shortcuts; every result is bit-exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import IntMatrix, NotSquare
 
 __all__ = [
     "IntPoly",
     "BiPoly",
-    "RatPoly",
     "NotDivisible",
     "DegreeMismatch",
     "exact_div",
@@ -393,31 +390,6 @@ class BiPoly:
         return " ".join(terms)
 
 
-class RatPoly:
-    """Quotient of integer polynomials; reduced on demand by exact division."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntPoly, den: IntPoly | None = None):
-        den = IntPoly.one() if den is None else den
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    def __mul__(self, other) -> RatPoly:
-        if isinstance(other, IntPoly):
-            return RatPoly(self.num * other, self.den)
-        return RatPoly(self.num * other.num, self.den * other.den)
-
-    def to_poly(self) -> IntPoly:
-        """Exact quotient; raises NotDivisible when the rational is not polynomial."""
-        return exact_div(self.num, self.den)
-
-
 # ----------------------------------------------------------------------------
 # Exact determinants and characteristic polynomials.
 # ----------------------------------------------------------------------------
@@ -515,60 +487,51 @@ def resultant(p: IntPoly, h: IntPoly) -> int:
     return det(IntMatrix.from_rows(rows))
 
 
-def _roots_product(p: IntPoly, h: IntPoly) -> int:
-    """Product of h over the roots of monic p, with multiplicity."""
-    if p.degree == 0:
-        return 1
-    if h.is_zero:
-        return 0
-    return resultant(p, h)
+def _interpolate_integer(values) -> IntPoly:
+    """The integer polynomial through (x, values[x]) for x = 0, 1, ..., D.
 
-
-def _interpolate_integer(points) -> IntPoly:
-    """Lagrange interpolation through integer points; result must be integral."""
-    npts = len(points)
-    coeffs = [Fraction(0)] * npts
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return IntPoly(out)
+    Newton forward differences: p(x) = sum_k c_k * x(x-1)...(x-k+1) with
+    c_k = (k-th difference of the values at 0) / k!.  The k-th differences
+    of an integer polynomial are all divisible by k!, so dividing each row
+    of differences by k as it is formed keeps every entry an integer; a
+    remainder means no integer polynomial fits, and raises.
+    """
+    row = list(values)
+    coeffs = [row[0]]
+    for k in range(1, len(row)):
+        nxt = []
+        for a, b in zip(row, row[1:]):
+            q, rem = divmod(b - a, k)
+            if rem:
+                raise ArithmeticError("interpolation produced a non-integer coefficient")
+            nxt.append(q)
+        row = nxt
+        coeffs.append(row[0])
+    out = IntPoly.zero()
+    for k in range(len(coeffs) - 1, -1, -1):
+        out = out * IntPoly.linear_root(k) + IntPoly.constant(coeffs[k])
+    return out
 
 
 def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     """Product of g(x, alpha) over the roots alpha of the monic polynomial p.
 
-    Evaluation-interpolation: the result has degree at most deg_u(g)*deg(p),
-    so sampling g at x = 0, 1, ..., deg_u(g)*deg(p) and taking one exact
-    integer resultant per sample pins it down.  The first variable of g is
-    the surviving one; the second is bound to the roots of p.
+    Evaluation-interpolation: the result has degree at most
+    D = deg_u(g)*deg(p), so sampling g at x = 0, 1, ..., D and taking one
+    exact integer resultant per sample pins it down.  The samples are
+    interpolated by Newton forward differences, where the k-th difference
+    must be divisible by k! for the result to be an integer polynomial; a
+    remainder raises ArithmeticError.  The first variable of g is the
+    surviving one; the second is bound to the roots of p.
     """
     if not p.is_monic:
         raise ValueError("eig_product: p must be monic")
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
-    d = p.degree
-    if d == 0:
+    if p.degree == 0:
         return IntPoly.one()
-    bound = g.deg_u * d
-    points = []
-    for x0 in range(bound + 1):
-        points.append((x0, _roots_product(p, g.eval_u(x0))))
-    return _interpolate_integer(points)
+    values = []
+    for x0 in range(g.deg_u * p.degree + 1):
+        h = g.eval_u(x0)
+        values.append(0 if h.is_zero else resultant(p, h))
+    return _interpolate_integer(values)

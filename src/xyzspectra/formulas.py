@@ -23,9 +23,9 @@ from .exactpoly import (
     BiPoly,
     DegreeMismatch,
     IntPoly,
-    RatPoly,
     compose_linear,
     eig_product,
+    exact_div,
     reduced_qpoly,
 )
 from .transform import SYMBOLS, XyzCase
@@ -452,7 +452,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         num = num * eig_product(reduced, _bipoly(desc.eig_factor, env))
     for a, b in desc.composed_terms:
         num = num * compose_linear(f, a, _scalar(b, env))
-    result = RatPoly(num, den).to_poly()
+    result = exact_div(num, den)
     if result.degree != n + m:
         raise DegreeMismatch(
             f"case {desc.case}: got degree {result.degree}, expected {n + m}"

@@ -94,10 +94,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set()
-
     def _edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
 

@@ -80,28 +80,48 @@ class CorpusReport:
         return not self.failures
 
 
-def verify_case(g: Graph, case: XyzCase, graph_id: str = "") -> VerificationResult:
-    """Compare the closed form against direct construction for one case.
+def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
+    """Compare the closed form against direct construction for each case.
 
-    All failures (irregular input, evaluation errors) are captured in the
-    result rather than raised.
+    The inputs every closed form shares (the degree r and the base graph's
+    signless-Laplacian polynomial) are computed once for the graph.  All
+    failures (irregular or edgeless input, evaluation errors) are captured
+    in the results rather than raised.
     """
-    gid = graph_id or f"graph(n={g.n},m={g.m})"
     try:
         r = regularity(g)
         if r is None:
             raise PreconditionViolated("input graph is not regular")
         if g.m < 1:
             raise PreconditionViolated("input graph has no edges")
-        oracle = charpoly(signless_laplacian(xyz_transform(g, case)))
         f = charpoly(signless_laplacian(g))
-        formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
     except Exception as exc:  # reported, never propagated
-        return VerificationResult(gid, case, "error", error=f"{type(exc).__name__}: {exc}")
-    diff = formula - oracle
-    if diff.is_zero:
-        return VerificationResult(gid, case, "match", formula, oracle, diff)
-    return VerificationResult(gid, case, "mismatch", formula, oracle, diff)
+        return [_error(gid, case, exc) for case in cases]
+    results = []
+    for case in cases:
+        try:
+            oracle = charpoly(signless_laplacian(xyz_transform(g, case)))
+            formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
+        except Exception as exc:  # reported, never propagated
+            results.append(_error(gid, case, exc))
+            continue
+        diff = formula - oracle
+        outcome = "match" if diff.is_zero else "mismatch"
+        results.append(VerificationResult(gid, case, outcome, formula, oracle, diff))
+    return results
+
+
+def _error(gid: str, case: XyzCase, exc: Exception) -> VerificationResult:
+    return VerificationResult(gid, case, "error", error=f"{type(exc).__name__}: {exc}")
+
+
+def verify_case(g: Graph, case: XyzCase, graph_id: str = "") -> VerificationResult:
+    """Compare the closed form against direct construction for one case.
+
+    All failures (irregular input, evaluation errors) are captured in the
+    result rather than raised.
+    """
+    return _verify_graph(graph_id or f"graph(n={g.n},m={g.m})", g, [case])[0]
 
 
 def run_corpus(graphs, cases=None) -> CorpusReport:
@@ -117,14 +137,13 @@ def run_corpus(graphs, cases=None) -> CorpusReport:
     total = {str(c): 0 for c in cases}
     failures = []
     for gid, g in graphs:
-        for case in cases:
-            res = verify_case(g, case, gid)
+        for res in _verify_graph(gid, g, cases):
             results.append(res)
-            total[str(case)] += 1
+            total[str(res.case)] += 1
             if res.outcome == "match":
-                matched[str(case)] += 1
+                matched[str(res.case)] += 1
             else:
-                failures.append((gid, str(case)))
+                failures.append((gid, str(res.case)))
     per_case = {c: (matched[c], total[c]) for c in matched}
     status = {str(c): descriptor_for(c).status for c in cases}
     return CorpusReport(

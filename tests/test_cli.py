@@ -26,6 +26,13 @@ def c4_file(tmp_path):
 
 
 @pytest.fixture
+def e3_file(tmp_path):
+    path = tmp_path / "e3.g"
+    path.write_text("3 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def p3_file(tmp_path):
     path = tmp_path / "p3.g"
     path.write_text(format_edge_list(from_edge_list(3, [(0, 1), (1, 2)])))
@@ -79,6 +86,10 @@ class TestTransform:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["transform", str(tmp_path / "none.g"), "--case", "+++"]) == 2
 
+    def test_edgeless_exits_2(self, e3_file, capsys):
+        assert cli.main(["transform", e3_file, "--case", "+++"]) == 2
+        assert capsys.readouterr().err == "transform: input graph has no edges\n"
+
 
 class TestCharpoly:
     def test_k3_q(self, k3_file, capsys):
@@ -129,6 +140,10 @@ class TestFormula:
     def test_irregular_exits_3(self, p3_file):
         assert cli.main(["formula", p3_file, "--case", "111"]) == 3
 
+    def test_edgeless_exits_2(self, e3_file, capsys):
+        assert cli.main(["formula", e3_file, "--case", "+++"]) == 2
+        assert capsys.readouterr().err == "formula: input graph has no edges\n"
+
     def test_evaluation_error_exits_4(self, k3_file, monkeypatch, capsys):
         from xyzspectra.exactpoly import NotDivisible
 
@@ -158,14 +173,37 @@ class TestVerify:
     def test_irregular_exits_3(self, p3_file):
         assert cli.main(["verify", p3_file, "--all"]) == 3
 
+    def test_edgeless_exits_2(self, e3_file, capsys):
+        for selector in (["--all"], ["--case", "+++"]):
+            assert cli.main(["verify", e3_file, *selector]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "verify: input graph has no edges\n"
+
+    def test_base_charpoly_once(self, k3_file, monkeypatch, capsys):
+        from xyzspectra import verify
+
+        dims = []
+
+        def counting(mat):
+            dims.append(mat.rows)
+            return charpoly(mat)
+
+        monkeypatch.setattr(verify, "charpoly", counting)
+        assert cli.main(["verify", k3_file, "--all"]) == 0
+        # one base charpoly (K3, 3 rows) and one oracle per case (6 rows)
+        assert sorted(dims) == [3] + [6] * 64
+
     def test_mismatch_exits_1(self, k3_file, monkeypatch, capsys):
         from xyzspectra.exactpoly import IntPoly
-        from xyzspectra.verify import VerificationResult
+        from xyzspectra.verify import CorpusReport, VerificationResult
 
-        def fake(g, case, graph_id=""):
-            return VerificationResult("k3", case, "mismatch", diff=IntPoly((1,)))
+        def fake(graphs, cases=None):
+            res = VerificationResult("k3", cases[0], "mismatch", diff=IntPoly((1,)))
+            failures = (("k3", str(cases[0])),)
+            return CorpusReport(("k3",), tuple(cases), (res,), {}, failures, {}, 0.0)
 
-        monkeypatch.setattr(cli, "verify_case", fake)
+        monkeypatch.setattr(cli, "run_corpus", fake)
         assert cli.main(["verify", k3_file, "--case", "+++"]) == 1
         assert capsys.readouterr().out.startswith("FAIL +++")
 

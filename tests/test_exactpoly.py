@@ -2,22 +2,24 @@
 
 The characteristic polynomial is cross-checked by expanding det(x*I - M)
 as a signed sum over permutations (an O(n!) oracle that shares no code
-with the production path), and the eigen-product against direct
-substitution of known roots.
+with the production path), the eigen-product against direct
+substitution of known roots, and its Newton interpolation against an
+independent Lagrange interpolation over the rationals.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import (
     BiPoly,
     IntPoly,
     NotDivisible,
-    RatPoly,
+    _interpolate_integer,
     charpoly,
     compose_linear,
     det,
@@ -64,6 +66,30 @@ def brute_charpoly(mat):
     return total
 
 
+def lagrange_interpolate(points):
+    """Lagrange interpolation through integer points over the rationals;
+    independent reference for the Newton interpolation in eig_product."""
+    npts = len(points)
+    coeffs = [Fraction(0)] * npts
+    for i, (xi, yi) in enumerate(points):
+        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
+        basis = [Fraction(1)]
+        denom = 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xj
+                new[k + 1] += c
+            basis = new
+            denom *= xi - xj
+        scale = Fraction(yi, denom)
+        for k, c in enumerate(basis):
+            coeffs[k] += c * scale
+    return coeffs
+
+
 class TestArithmetic:
     def test_exact_div_basic(self):
         assert exact_div(poly(-1, 0, 1), poly(-1, 1)) == poly(1, 1)
@@ -88,14 +114,6 @@ class TestArithmetic:
     def test_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(poly(1), IntPoly.zero())
-
-    def test_ratpoly_reduces(self):
-        rp = RatPoly(from_roots(1, 2, 3)) * RatPoly(IntPoly.one(), from_roots(2))
-        assert rp.to_poly() == from_roots(1, 3)
-
-    def test_ratpoly_not_polynomial(self):
-        with pytest.raises(NotDivisible):
-            RatPoly(from_roots(1), from_roots(2)).to_poly()
 
     def test_pretty(self):
         assert poly(40, -14, 1).pretty("lam") == "lam^2 - 14*lam + 40"
@@ -300,6 +318,13 @@ class TestEigProduct:
             eig_product(poly(1, 2), BiPoly.u() - BiPoly.v())
 
 
+class TestInterpolation:
+    def test_integer_valued_non_integer_polynomial_raises(self):
+        # x(x-1)/2 takes integer values at 0..3 but has coefficients 1/2
+        with pytest.raises(ArithmeticError):
+            _interpolate_integer([x * (x - 1) // 2 for x in range(4)])
+
+
 class TestBiPoly:
     def test_eval_u(self):
         lam, q = BiPoly.u(), BiPoly.v()
@@ -350,3 +375,14 @@ def test_compose_linear_reflection_involution(coeffs, b):
 def test_eig_product_identity_property(coeffs):
     p = IntPoly(coeffs + [1])
     assert eig_product(p, BiPoly.u() - BiPoly.v()) == p
+
+
+@seed(20130322)
+@settings(max_examples=60)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
+def test_newton_matches_lagrange(coeffs):
+    p = IntPoly(coeffs)
+    points = [(x, p(x)) for x in range(len(coeffs))]
+    expected = lagrange_interpolate(points)
+    assert all(c.denominator == 1 for c in expected)
+    assert _interpolate_integer([y for _, y in points]) == IntPoly(int(c) for c in expected)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, compose_linear
+from xyzspectra import verify
 from xyzspectra.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     from_edge_list,
@@ -106,6 +108,35 @@ class TestRunCorpus:
             assert g.degrees() == [r] * g.n
             degrees.add(r)
         assert degrees == {2, 3, 4, 5}
+
+
+    def test_base_charpoly_once_per_graph(self, monkeypatch):
+        dims = []
+
+        def counting(mat):
+            dims.append(mat.rows)
+            return charpoly(mat)
+
+        monkeypatch.setattr(verify, "charpoly", counting)
+        rep = run_corpus([("K3", complete_graph(3)), ("C4", cycle_graph(4))])
+        assert rep.all_match and len(rep.results) == 128
+        # base graphs have 3 and 4 vertices, their transforms 6 and 8
+        assert sorted(d for d in dims if d < 6) == [3, 4]
+
+    def test_regimes_outside_default_corpus(self):
+        # r = 1 with m < n (K2, 3K2) and disconnected graphs (2C3, C3+C4,
+        # 2K4), where 2r is a repeated eigenvalue
+        k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        graphs = [
+            ("K2", Graph(2, ((0, 1),))),
+            ("3K2", Graph(6, ((0, 1), (2, 3), (4, 5)))),
+            ("2C3", Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))),
+            ("C3+C4", Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))),
+            ("2K4", Graph(8, tuple(k4) + tuple((a + 4, b + 4) for a, b in k4))),
+        ]
+        rep = run_corpus(graphs)
+        assert len(rep.results) == 320
+        assert rep.failures == ()
 
 
 class TestReportJson:
