@@ -9,6 +9,8 @@ point, no modular shortcuts; every result is bit-exact.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .linalg import IntMatrix, NotSquare
 
 __all__ = [
@@ -426,24 +428,32 @@ def det(mat: IntMatrix) -> int:
 def charpoly(mat: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - M), monic of degree dim(M).
 
-    Faddeev-LeVerrier recurrence: every intermediate trace is divisible by
-    its step index, so the computation stays in the integers.
+    Berkowitz's division-free algorithm (Berkowitz 1984, Inf. Process.
+    Lett. 18).  Write the leading (k+1) x (k+1) block as the k x k block C
+    bordered by the column S, the row R and the corner a_kk.  The block's
+    descending coefficients are the lower-triangular Toeplitz matrix with
+    first column [1, -a_kk, -R*S, -R*C*S, ..., -R*C^(k-1)*S] times C's.
+    Only integer additions and multiplications occur, so the result is
+    exact with no bound and no modulus.
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
-    n = mat.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    acc = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        prod = mat * acc
-        t = prod.trace()
-        if t % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility violated")
-        ck = -t // k
-        coeffs[n - k] = ck
-        acc = prod + ck * IntMatrix.identity(n)
-    return IntPoly(coeffs)
+    a = mat.entries
+    desc = [1]  # descending coefficients of the leading k x k block
+    for k in range(mat.rows):
+        block = [row[:k] for row in a[:k]]
+        bottom = a[k][:k]
+        v = [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for i in range(k):
+            if i:
+                v = [sum(map(mul, row, v)) for row in block]
+            col.append(-sum(map(mul, bottom, v)))
+        desc = [
+            sum(col[i - j] * desc[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPoly(reversed(desc))
 
 
 def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:

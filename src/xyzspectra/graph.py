@@ -262,6 +262,11 @@ def regularity(g: Graph) -> int | None:
 # 0-indexed; file order is the edge order.
 # ----------------------------------------------------------------------------
 
+# Largest n + m a header may declare.  Transforms build graphs and matrices
+# of order n + m (case 010 a complete graph on m vertices), so a larger
+# header is refused before any of them is allocated.
+MAX_HEADER_ORDER = 1000
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
@@ -274,6 +279,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InvalidParameter(f"header must be two integers, got {lines[0]!r}")
+    if n + m > MAX_HEADER_ORDER:
+        raise InvalidParameter(f"header n + m = {n + m} exceeds the limit {MAX_HEADER_ORDER}")
     body = lines[1:]
     if len(body) != m:
         raise InvalidParameter(f"expected {m} edge lines, found {len(body)}")

@@ -1,9 +1,10 @@
 """Dense matrices over the integers (arbitrary precision).
 
 Everything downstream depends on exactness, so entries are plain Python
-ints and no floating point appears anywhere.  Matrices at the scale this
-library handles stay well under 50x50, so dense storage and schoolbook
-multiplication are the simplest correct choice.
+ints and no floating point appears anywhere.  A matrix has at most n + m
+rows, which the edge-list header limits to 1000, so dense row tuples are
+the simplest correct storage.  The characteristic polynomial reads those
+row tuples directly; the schoolbook product serves the identity checks.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class IntMatrix:
         return cls(len(tup), len(tup[0]) if tup else 0, tup)
 
     @classmethod
-    def zeros(cls, p: int, q: int) -> IntMatrix:
-        return cls(p, q, tuple((0,) * q for _ in range(p)))
-
-    @classmethod
     def identity(cls, k: int) -> IntMatrix:
         return cls(k, k, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
@@ -92,41 +89,19 @@ class IntMatrix:
         )
 
     def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("mul: inner dimensions differ")
-            bt = other.transpose().entries  # walk rows of both operands
-            return IntMatrix(
-                self.rows,
-                other.cols,
-                tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                    for row in self.entries
-                ),
-            )
-        return self.scalar_mul(int(other))
-
-    def __rmul__(self, other):
-        return self.scalar_mul(int(other))
-
-    def scalar_mul(self, c: int) -> IntMatrix:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch("mul: inner dimensions differ")
+        bt = other.transpose().entries  # walk rows of both operands
         return IntMatrix(
-            self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.entries)
+            self.rows,
+            other.cols,
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                for row in self.entries
+            ),
         )
-
-    def __pow__(self, k: int) -> IntMatrix:
-        if not self.is_square:
-            raise NotSquare("pow: matrix must be square")
-        if k < 0:
-            raise ValueError("pow: exponent must be >= 0")
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def transpose(self) -> IntMatrix:
         return IntMatrix(
@@ -142,9 +117,6 @@ class IntMatrix:
         if not self.is_square:
             raise NotSquare("trace: matrix must be square")
         return sum(self.entries[i][i] for i in range(self.rows))
-
-    def is_symmetric(self) -> bool:
-        return self.is_square and self.entries == self.transpose().entries
 
 
 # ----------------------------------------------------------------------------

@@ -255,14 +255,19 @@ def _matrix_poly(p: BiPoly, first: IntMatrix, second: IntMatrix) -> IntMatrix:
 
     Monomial u^s v^t maps to first^s * second^t (first-powers on the left;
     the two arguments commute in every use here, but the order is pinned
-    for determinism).
+    for determinism).  Horner's rule in both variables.
     """
     k = first.rows
-    out = IntMatrix.zeros(k, k)
-    for s, row in enumerate(p.grid):
-        for t, c in enumerate(row):
-            if c:
-                out = out + c * (first ** s * second ** t)
+
+    def scalar(c: int) -> IntMatrix:
+        return IntMatrix.from_rows([[c if i == j else 0 for j in range(k)] for i in range(k)])
+
+    out = scalar(0)
+    for row in reversed(p.grid):
+        inner = scalar(0)
+        for c in reversed(row):
+            inner = second * inner + scalar(c)
+        out = first * out + inner
     return out
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xyzspectra import cli
+from xyzspectra import cli, graph
 from xyzspectra.exactpoly import charpoly
 from xyzspectra.graph import complete_graph, format_edge_list, from_edge_list, parse_edge_list
 from xyzspectra.linalg import signless_laplacian
@@ -89,6 +89,15 @@ class TestTransform:
     def test_edgeless_exits_2(self, e3_file, capsys):
         assert cli.main(["transform", e3_file, "--case", "+++"]) == 2
         assert capsys.readouterr().err == "transform: input graph has no edges\n"
+
+    def test_oversized_header_exits_2(self, k3_file, monkeypatch, capsys):
+        monkeypatch.setattr(graph, "MAX_HEADER_ORDER", 5)
+        for argv in (["transform", k3_file, "--case", "010"], ["charpoly", k3_file],
+                     ["formula", k3_file, "--case", "010"], ["verify", k3_file, "--all"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"{argv[0]}: header n + m = 6 exceeds the limit 5\n"
 
 
 class TestCharpoly:

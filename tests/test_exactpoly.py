@@ -2,9 +2,10 @@
 
 The characteristic polynomial is cross-checked by expanding det(x*I - M)
 as a signed sum over permutations (an O(n!) oracle that shares no code
-with the production path), the eigen-product against direct
-substitution of known roots, and its Newton interpolation against an
-independent Lagrange interpolation over the rationals.
+with the production path) and against Bareiss determinants det(x0*I - M)
+at x0 = 0..N joined by Newton interpolation, the eigen-product against
+direct substitution of known roots, and its Newton interpolation against
+an independent Lagrange interpolation over the rationals.
 """
 
 import itertools
@@ -28,8 +29,10 @@ from xyzspectra.exactpoly import (
     reduced_qpoly,
     resultant,
 )
+from xyzspectra.formulas import list_cases
 from xyzspectra.graph import complete_graph, cycle_graph, petersen_graph
 from xyzspectra.linalg import IntMatrix, signless_laplacian
+from xyzspectra.transform import xyz_transform
 
 
 def poly(*coeffs):
@@ -64,6 +67,19 @@ def brute_charpoly(mat):
             term = term * entries[i][perm[i]]
         total = total + (-1) ** (inversions % 2) * term
     return total
+
+
+def bareiss_charpoly(mat):
+    """det(x0*I - M) by Bareiss at x0 = 0..N, joined by Newton interpolation;
+    a reference for charpoly that shares no code with Berkowitz's recurrence."""
+    n = mat.rows
+    values = [
+        det(IntMatrix.from_rows(
+            [[(x0 if i == j else 0) - mat.entries[i][j] for j in range(n)] for i in range(n)]
+        ))
+        for x0 in range(n + 1)
+    ]
+    return _interpolate_integer(values)
 
 
 def lagrange_interpolate(points):
@@ -139,7 +155,7 @@ class TestComposeLinear:
 
 class TestCharpoly:
     def test_zero_matrix(self):
-        assert charpoly(IntMatrix.zeros(2, 2)) == poly(0, 0, 1)
+        assert charpoly(IntMatrix.from_rows([[0, 0], [0, 0]])) == poly(0, 0, 1)
 
     def test_k3_hand_expansion(self):
         assert charpoly(signless_laplacian(complete_graph(3))) == poly(-4, 9, -6, 1)
@@ -206,6 +222,12 @@ class TestCharpoly:
                 [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
             )
             assert charpoly(p.transpose() * mat * p) == charpoly(mat)
+
+    def test_all_transforms_match_bareiss_reference(self):
+        for g in (complete_graph(4), cycle_graph(5)):
+            for case in list_cases():
+                q = signless_laplacian(xyz_transform(g, case))
+                assert charpoly(q) == bareiss_charpoly(q), str(case)
 
 
 class TestDet:
@@ -386,3 +408,21 @@ def test_newton_matches_lagrange(coeffs):
     expected = lagrange_interpolate(points)
     assert all(c.denominator == 1 for c in expected)
     assert _interpolate_integer([y for _, y in points]) == IntPoly(int(c) for c in expected)
+
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrices of size 0-10, symmetric or not."""
+    n = draw(st.integers(0, 10))
+    flat = draw(st.lists(st.integers(-20, 20), min_size=n * n, max_size=n * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+@seed(19840101)
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_charpoly_matches_bareiss_reference(mat):
+    assert charpoly(mat) == bareiss_charpoly(mat)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from xyzspectra import graph
 from xyzspectra.graph import (
     DuplicateEdge,
     EmptyEdgeSet,
@@ -234,3 +235,12 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n")
         with pytest.raises(InvalidParameter):
             parse_edge_list("3 1\n0 one\n")
+
+    def test_header_size_guard(self, monkeypatch):
+        # refused from the header alone, before the missing edge lines count
+        with pytest.raises(InvalidParameter, match="exceeds the limit"):
+            parse_edge_list("1000000000 0\n")
+        monkeypatch.setattr(graph, "MAX_HEADER_ORDER", 5)
+        assert parse_edge_list("3 2\n0 1\n1 2\n").m == 2
+        with pytest.raises(InvalidParameter, match="n \\+ m = 6 exceeds the limit 5"):
+            parse_edge_list("3 3\n")

@@ -18,7 +18,7 @@ from xyzspectra.verify import default_corpus
 class TestMatrixOps:
     def test_all_ones_square(self):
         j = IntMatrix.all_ones(2, 2)
-        assert j * j == 2 * j
+        assert j * j == j + j
 
     def test_identity_neutral(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -29,17 +29,14 @@ class TestMatrixOps:
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[5, 6], [7, 8]])
         assert (a + b) - b == a
-        assert 3 * a == a + a + a
+        assert a + a + a == IntMatrix.from_rows([[3, 6], [9, 12]])
+        with pytest.raises(TypeError):
+            3 * a  # matrices have no scalar product
 
     def test_transpose(self):
         a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert a.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
         assert a.transpose().transpose() == a
-
-    def test_pow(self):
-        a = IntMatrix.from_rows([[1, 1], [0, 1]])
-        assert a ** 0 == IntMatrix.identity(2)
-        assert a ** 5 == IntMatrix.from_rows([[1, 5], [0, 1]])
 
     def test_dimension_mismatch(self):
         a = IntMatrix.from_rows([[1, 2]])
@@ -70,7 +67,8 @@ class TestGraphMatrices:
 
     def test_signless_laplacian_c4_entrywise(self):
         c4 = cycle_graph(4)
-        assert signless_laplacian(c4) == 2 * IntMatrix.identity(4) + adjacency(c4)
+        i4 = IntMatrix.identity(4)
+        assert signless_laplacian(c4) == i4 + i4 + adjacency(c4)
 
     def test_incidence_identity_k3(self):
         r = incidence(complete_graph(3))
@@ -78,9 +76,8 @@ class TestGraphMatrices:
 
     def test_symmetry(self):
         for g in (cycle_graph(5), complete_graph(4)):
-            assert adjacency(g).is_symmetric()
-            assert laplacian(g).is_symmetric()
-            assert signless_laplacian(g).is_symmetric()
+            for m in (adjacency(g), laplacian(g), signless_laplacian(g)):
+                assert m == m.transpose()
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +97,14 @@ class TestCorpusIdentities:
         for _, g in corpus:
             r = incidence(g)
             lhs = r.transpose() * r
-            rhs = adjacency(line_graph(g)) + 2 * IntMatrix.identity(g.m)
+            im = IntMatrix.identity(g.m)
+            rhs = adjacency(line_graph(g)) + im + im
             assert lhs == rhs
 
     def test_laplacian_pair_sums_to_twice_degree(self, corpus):
         for _, g in corpus:
-            assert signless_laplacian(g) + laplacian(g) == 2 * degree_matrix(g)
+            d = degree_matrix(g)
+            assert signless_laplacian(g) + laplacian(g) == d + d
 
     def test_trace_counts_edges_twice(self, corpus):
         for _, g in corpus:
