@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 irregular input graph, 4 formula evaluation error.  An edgeless input
 graph exits 2 from transform, formula and verify; charpoly accepts it.
-Polynomial output is the ascending coefficient list in decimal, one
-line, so runs over the same input are byte-identical.  Data goes to stdout, diagnostics to
-stderr.
+gen exits 2, before building anything, when the graph's n + m would
+exceed graph.MAX_HEADER_ORDER (1000), the limit every edge-list header
+obeys.  Polynomial output is the ascending coefficient list in decimal,
+one line, so runs over the same input are byte-identical.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
+def _load_regular(cmd: str, path: str):
+    """Load a regular graph with edges: (graph, r), or (None, exit code)
+    after one stderr line naming cmd."""
+    try:
+        g = _load_graph(path)
+    except (OSError, GraphError) as exc:
+        return None, _fail(EXIT_USAGE, f"{cmd}: {exc}")
+    r = regularity(g)
+    if r is None:
+        return None, _fail(EXIT_IRREGULAR, f"{cmd}: input graph is not regular")
+    if g.m < 1:
+        return None, _fail(EXIT_USAGE, f"{cmd}: input graph has no edges")
+    return g, r
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -66,14 +83,9 @@ def cmd_transform(args) -> int:
         case = XyzCase.parse(args.case)
     except GraphError as exc:
         return _fail(EXIT_USAGE, f"transform: {exc}")
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphError) as exc:
-        return _fail(EXIT_USAGE, f"transform: {exc}")
-    if regularity(g) is None:
-        return _fail(EXIT_IRREGULAR, "transform: input graph is not regular")
-    if g.m < 1:
-        return _fail(EXIT_USAGE, "transform: input graph has no edges")
+    g, r = _load_regular("transform", args.input)
+    if g is None:
+        return r
     _emit(format_edge_list(xyz_transform(g, case)), args.out)
     return EXIT_OK
 
@@ -93,15 +105,9 @@ def cmd_formula(args) -> int:
         case = XyzCase.parse(args.case)
     except GraphError as exc:
         return _fail(EXIT_USAGE, f"formula: {exc}")
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphError) as exc:
-        return _fail(EXIT_USAGE, f"formula: {exc}")
-    r = regularity(g)
-    if r is None:
-        return _fail(EXIT_IRREGULAR, "formula: input graph is not regular")
-    if g.m < 1:
-        return _fail(EXIT_USAGE, "formula: input graph has no edges")
+    g, r = _load_regular("formula", args.input)
+    if g is None:
+        return r
     desc = descriptor_for(case)
     f = charpoly(signless_laplacian(g))
     try:
@@ -116,14 +122,9 @@ def cmd_formula(args) -> int:
 def cmd_verify(args) -> int:
     if (args.case is None) == (not args.all):
         return _fail(EXIT_USAGE, "verify: pass exactly one of --case or --all")
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphError) as exc:
-        return _fail(EXIT_USAGE, f"verify: {exc}")
-    if regularity(g) is None:
-        return _fail(EXIT_IRREGULAR, "verify: input graph is not regular")
-    if g.m < 1:
-        return _fail(EXIT_USAGE, "verify: input graph has no edges")
+    g, r = _load_regular("verify", args.input)
+    if g is None:
+        return r
     if args.all:
         cases = list_cases()
     else:
@@ -141,12 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_corpus(args) -> int:
     report = run_corpus(default_corpus())
-    text = report_to_json(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report_to_json(report), args.report)
     matched = sum(mt[0] for mt in report.per_case.values())
     total = sum(mt[1] for mt in report.per_case.values())
     print(f"corpus: {matched}/{total} matched", file=sys.stderr)

@@ -103,7 +103,9 @@ class IntPoly:
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
-    def __add__(self, other: IntPoly) -> IntPoly:
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = IntPoly.constant(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -112,8 +114,13 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    def __sub__(self, other: IntPoly) -> IntPoly:
+    __radd__ = __add__
+
+    def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other: int) -> IntPoly:
+        return -self + other
 
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
@@ -211,7 +218,7 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
     arg = IntPoly((b, a))
     out = IntPoly.zero()
     for c in reversed(f.coeffs):
-        out = out * arg + IntPoly.constant(c)
+        out = out * arg + c
     return out
 
 
@@ -220,23 +227,17 @@ class BiPoly:
 
     The two variables are abstract; callers bind them to (lambda, q) for
     per-eigenvalue factors or to the two arguments of a matrix polynomial.
+    Rows are ragged and canonical: no row ends in a zero and the last row
+    is not empty, so equal polynomials have equal grids.
     """
 
     __slots__ = ("grid",)
 
     def __init__(self, grid=()):
-        rows = [list(int(c) for c in row) for row in grid]
-        # trim trailing zero columns, then trailing zero rows
-        width = 0
-        for row in rows:
-            w = len(row)
-            while w and row[w - 1] == 0:
-                w -= 1
-            width = max(width, w)
-        rows = [row[:width] + [0] * (width - len(row[:width])) for row in rows]
-        while rows and all(c == 0 for c in rows[-1]):
+        rows = [_trim(int(c) for c in row) for row in grid]
+        while rows and not rows[-1]:
             rows.pop()
-        object.__setattr__(self, "grid", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "grid", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -254,10 +255,6 @@ class BiPoly:
     def v(cls) -> BiPoly:
         """The second variable."""
         return cls(((0, 1),))
-
-    @classmethod
-    def from_poly_in_v(cls, p: IntPoly) -> BiPoly:
-        return cls((p.coeffs,))
 
     @property
     def is_zero(self) -> bool:
@@ -334,18 +331,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> BiPoly:
-        if k < 0:
-            raise ValueError("pow: exponent must be >= 0")
-        out = BiPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def eval_u(self, x: int) -> IntPoly:
         """Substitute an integer for the first variable; polynomial in the second."""
         w = self.deg_v + 1
@@ -356,12 +341,6 @@ class BiPoly:
                 out[j] += c * p
             p *= x
         return IntPoly(out)
-
-    def to_poly_in_u(self) -> IntPoly:
-        """Demote to univariate in the first variable; second must be absent."""
-        if self.deg_v > 0:
-            raise ValueError("second variable present")
-        return IntPoly(row[0] if row else 0 for row in self.grid)
 
     def pretty(self, u: str = "x", v: str = "y") -> str:
         """Term-by-term display, u-major: x^2 - x*y + 3."""
@@ -519,7 +498,7 @@ def _interpolate_integer(values) -> IntPoly:
         coeffs.append(row[0])
     out = IntPoly.zero()
     for k in range(len(coeffs) - 1, -1, -1):
-        out = out * IntPoly.linear_root(k) + IntPoly.constant(coeffs[k])
+        out = out * IntPoly.linear_root(k) + coeffs[k]
     return out
 
 

@@ -43,7 +43,7 @@ __all__ = [
 
 
 class Expr:
-    """Integer expression tree over named variables with +, -, * and integer powers."""
+    """Integer expression tree over named variables with +, - and *."""
 
     __slots__ = ("op", "args")
 
@@ -87,11 +87,6 @@ class Expr:
     def __neg__(self):
         return Expr("sub", (Expr.lift(0), self))
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("pow: exponent must be a nonnegative integer")
-        return Expr("pow", (self, k))
-
     def evaluate(self, env: dict):
         """Evaluate with variables bound to ints (or polynomial generators)."""
         op = self.op
@@ -102,8 +97,6 @@ class Expr:
             if name not in env:
                 raise ValueError(f"unbound variable {name!r}")
             return env[name]
-        if op == "pow":
-            return self.args[0].evaluate(env) ** self.args[1]
         a = self.args[0].evaluate(env)
         b = self.args[1].evaluate(env)
         if op == "add":
@@ -133,8 +126,6 @@ class Expr:
         if op == "mul":
             s = f"{self.args[0]._fmt(20)}*{self.args[1]._fmt(21)}"
             return f"({s})" if prec > 20 else s
-        if op == "pow":
-            return f"{self.args[0]._fmt(31)}^{self.args[1]}"
         raise AssertionError(f"unknown op {op!r}")
 
     def __str__(self) -> str:
@@ -407,10 +398,8 @@ def _scalar(expr: Expr, env: dict) -> int:
 
 
 def _unipoly(expr: Expr, env: dict) -> IntPoly:
-    value = expr.evaluate({**env, "lam": BiPoly.u()})
-    if isinstance(value, int):
-        return IntPoly.constant(value)
-    return value.to_poly_in_u()
+    value = expr.evaluate({**env, "lam": IntPoly.x()})
+    return value if isinstance(value, IntPoly) else IntPoly.constant(value)
 
 
 def _bipoly(expr: Expr, env: dict) -> BiPoly:

@@ -187,28 +187,44 @@ def circulant_graph(k: int, offsets) -> Graph:
     return Graph(k, tuple(edges))
 
 
+# kind -> (generator, parameter count, n + m of the graph it builds).  The
+# hypercube's shift is capped at 64: 2^64 already exceeds any order limit,
+# and 2^d itself would exhaust memory for a huge d.
 GENERATORS = {
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "complete_bipartite": (complete_bipartite_graph, 1),
-    "petersen": (petersen_graph, 0),
-    "hypercube": (hypercube_graph, 1),
-    "circulant": (circulant_graph, None),  # k followed by offsets
+    "cycle": (cycle_graph, 1, lambda k: 2 * k),
+    "complete": (complete_graph, 1, lambda k: k * (k + 1) // 2),
+    "complete_bipartite": (complete_bipartite_graph, 1, lambda a: a * (a + 2)),
+    "petersen": (petersen_graph, 0, lambda: 25),
+    "hypercube": (hypercube_graph, 1, lambda d: (d + 2) << min(d - 1, 64)),
+    "circulant": (  # k followed by offsets; an offset of k/2 adds k/2 edges
+        circulant_graph, None,
+        lambda k, *offsets: k + sum(k if 2 * (s % k) != k else k // 2 for s in offsets),
+    ),
 }
 
 
 def generate(kind: str, params: list[int] | None = None) -> Graph:
-    """Dispatch onto the named generator; raises InvalidParameter on bad input."""
+    """Dispatch onto the named generator; raises InvalidParameter on bad input.
+
+    A graph whose n + m would exceed MAX_HEADER_ORDER is refused before it
+    is built, so every generated edge list is one parse_edge_list accepts.
+    """
     params = params or []
     if kind not in GENERATORS:
         raise InvalidParameter(f"unknown generator {kind!r}")
-    fn, arity = GENERATORS[kind]
+    fn, arity, order = GENERATORS[kind]
     if arity is None:  # circulant: k plus at least one offset
         if len(params) < 2:
             raise InvalidParameter("circulant needs a modulus and at least one offset")
-        return fn(params[0], params[1:])
-    if len(params) != arity:
+    elif len(params) != arity:
         raise InvalidParameter(f"{kind} takes {arity} parameter(s), got {len(params)}")
+    # a size parameter below 1 is left to the generator's own check
+    if (not params or params[0] >= 1) and order(*params) > MAX_HEADER_ORDER:
+        raise InvalidParameter(
+            f"{' '.join([kind, *map(str, params)])} has n + m above the limit {MAX_HEADER_ORDER}"
+        )
+    if arity is None:
+        return fn(params[0], params[1:])
     return fn(*params)
 
 
@@ -262,9 +278,9 @@ def regularity(g: Graph) -> int | None:
 # 0-indexed; file order is the edge order.
 # ----------------------------------------------------------------------------
 
-# Largest n + m a header may declare.  Transforms build graphs and matrices
-# of order n + m (case 010 a complete graph on m vertices), so a larger
-# header is refused before any of them is allocated.
+# Largest n + m a header may declare or `generate` may build.  Transforms
+# build graphs and matrices of order n + m (case 010 a complete graph on m
+# vertices), so a larger header is refused before any of them is allocated.
 MAX_HEADER_ORDER = 1000
 
 

@@ -291,22 +291,7 @@ def check_eigen_lemma(g: Graph, p: BiPoly) -> bool:
     f = charpoly(qmat)
     reduced = reduced_qpoly(f, r)
     # g(lam, q) = lam - P(q, 0): keep the u^s v^0 column, re-expressed in v
-    p_at_zero = IntPoly(row[0] if row else 0 for row in p.grid)
-    factor = BiPoly.u() - BiPoly.from_poly_in_v(p_at_zero)
-    top_value = _eval_bipoly_at(p, 2 * r, n)
-    rhs = IntPoly.linear_root(top_value) * eig_product(reduced, factor)
+    p_at_zero = [row[0] if row else 0 for row in p.grid]
+    factor = BiPoly.u() - BiPoly((p_at_zero,))
+    rhs = IntPoly.linear_root(p.eval_u(2 * r)(n)) * eig_product(reduced, factor)
     return lhs == rhs
-
-
-def _eval_bipoly_at(p: BiPoly, x: int, y: int) -> int:
-    total = 0
-    xp = 1
-    for row in p.grid:
-        yp = 1
-        acc = 0
-        for c in row:
-            acc += c * yp
-            yp *= y
-        total += acc * xp
-        xp *= x
-    return total

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,28 @@ class TestGen:
     def test_circulant(self, capsys):
         assert cli.main(["gen", "circulant", "8", "1", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "8 16"
+
+    def test_order_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(graph, "MAX_HEADER_ORDER", 10)
+        assert cli.main(["gen", "cycle", "5"]) == 0  # n + m = 10
+        capsys.readouterr()
+        assert cli.main(["gen", "cycle", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gen: cycle 6 has n + m above the limit 10\n"
+
+    def test_huge_parameters_refused_unbuilt(self, capsys):
+        tracemalloc.start()
+        try:
+            for argv in (["gen", "complete", "100000"], ["gen", "hypercube", "1000000000"]):
+                assert cli.main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(f"gen: {argv[1]} {argv[2]} has n + m above")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTransform:

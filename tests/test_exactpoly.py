@@ -135,6 +135,13 @@ class TestArithmetic:
         assert poly(40, -14, 1).pretty("lam") == "lam^2 - 14*lam + 40"
         assert IntPoly.zero().pretty() == "0"
 
+    def test_int_mixing(self):
+        p = poly(1, 2)
+        assert 3 + p == p + 3 == poly(4, 2)
+        assert p - 3 == poly(-2, 2)
+        assert 3 - p == poly(2, -2)
+        assert (p - 1) + (1 - p) == IntPoly.zero()
+
 
 class TestComposeLinear:
     def test_square_shift(self):
@@ -364,11 +371,10 @@ class TestBiPoly:
         assert 2 * BiPoly.v() == BiPoly.v() + BiPoly.v()
         assert (1 - BiPoly.u()) + (BiPoly.u() - 1) == BiPoly()
 
-    def test_to_poly_in_u(self):
-        p = (BiPoly.u() - 3) * (BiPoly.u() + 1)
-        assert p.to_poly_in_u() == poly(-3, -2, 1)
-        with pytest.raises(ValueError):
-            (BiPoly.u() - BiPoly.v()).to_poly_in_u()
+    def test_canonical_grid(self):
+        assert BiPoly([[1, 0, 0], [0, 0], [2, 3, 0], [0]]) == BiPoly([[1], [], [2, 3]])
+        assert BiPoly([[1, 0], [0, 0]]).grid == ((1,),)
+        assert (BiPoly.u() * BiPoly.u() + 1).grid == ((1,), (), (1,))
 
 
 # ----------------------------------------------------------------------------

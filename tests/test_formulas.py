@@ -5,6 +5,7 @@ spectra for the named instances, and the brute-force charpoly of the
 constructed transformation for the rest.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -20,7 +21,14 @@ from xyzspectra.formulas import (
     render_formula,
     render_formula_instantiated,
 )
-from xyzspectra.graph import complete_graph, cycle_graph, hypercube_graph, regularity
+from xyzspectra.graph import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    petersen_graph,
+    regularity,
+)
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
 
@@ -100,8 +108,8 @@ class TestDescriptors:
             env = {"n": n, "m": m, "r": r}
             for c in list_cases():
                 desc = descriptor_for(c)
-                pre = desc.prefactor.evaluate({**env, "lam": BiPoly.u()})
-                deg = 0 if isinstance(pre, int) else pre.deg_u
+                pre = desc.prefactor.evaluate({**env, "lam": IntPoly.x()})
+                deg = 0 if isinstance(pre, int) else pre.degree
                 assert deg <= 2
                 for _, exponent in desc.linear_factors:
                     deg += exponent.evaluate(env)
@@ -255,6 +263,24 @@ class TestRendering:
     def test_instantiated_k3_111(self):
         text = render_formula_instantiated(descriptor_for(case("111")), 3, 3, 2)
         assert text == "[lam - 10] * (lam - 4)^5"
+
+    def test_instantiated_pinned(self):
+        # all 64 cases on K3, C5, K4, K3,3 and Petersen
+        graphs = [complete_graph(3), cycle_graph(5), complete_graph(4),
+                  complete_bipartite_graph(3), petersen_graph()]
+        lines = [
+            render_formula_instantiated(descriptor_for(c), g.n, g.m, regularity(g))
+            for g in graphs
+            for c in list_cases()
+        ]
+        assert len(lines) == 320
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "ed2195156b002794b54cbcb35fb9956dd2afce77589e9b7596551ae694394f29"
+
+    def test_records_pinned(self):
+        blob = json.dumps(descriptor_records(), sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == "ae6b9e36713f4c7646d90b7e7cda93b03dffb9c5ffc9404974b6ccd4b77227b7"
 
     def test_records_are_json_ready(self):
         records = descriptor_records()

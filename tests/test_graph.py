@@ -123,6 +123,15 @@ class TestGenerators:
         with pytest.raises(InvalidParameter):
             generate("cycle", [])
 
+    def test_generator_order_is_exact(self):
+        # the order refused by generate must be the n + m the generator builds
+        for kind, params in [("cycle", [7]), ("complete", [6]), ("complete_bipartite", [4]),
+                             ("petersen", []), ("hypercube", [1]), ("hypercube", [4]),
+                             ("circulant", [8, 1, 2]), ("circulant", [8, 4]),
+                             ("circulant", [9, -1, 2, 13])]:
+            g = generate(kind, params)
+            assert graph.GENERATORS[kind][2](*params) == g.n + g.m, (kind, params)
+
     def test_all_generators_satisfy_handshake(self):
         graphs = [
             cycle_graph(5),
