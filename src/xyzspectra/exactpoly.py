@@ -2,9 +2,10 @@
 
 This is the computational kernel: univariate and bivariate polynomials
 with arbitrary-precision integer coefficients, exact characteristic
-polynomials of integer matrices, and products of a bivariate factor over
-the roots of a monic polynomial (computed as resultants).  No floating
-point, no modular shortcuts; every result is bit-exact.
+polynomials and determinants of integer matrices (Berkowitz), and
+products of a bivariate factor over the roots of a monic polynomial (one
+resultant over Z[x], by the subresultant remainder sequence).  No
+floating point, no modular shortcuts; every result is bit-exact.
 """
 
 from __future__ import annotations
@@ -167,24 +168,7 @@ class IntPoly:
 
     def pretty(self, var: str = "x") -> str:
         """Conventional display, highest power first: x^2 - 14*x + 40."""
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
+        return BiPoly([(c,) for c in self.coeffs]).pretty(var)
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -372,36 +356,8 @@ class BiPoly:
 
 
 # ----------------------------------------------------------------------------
-# Exact determinants and characteristic polynomials.
+# Exact characteristic polynomials and determinants.
 # ----------------------------------------------------------------------------
-
-
-def det(mat: IntMatrix) -> int:
-    """Integer determinant via fraction-free (Bareiss) elimination."""
-    if not mat.is_square:
-        raise NotSquare("det: matrix must be square")
-    n = mat.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def charpoly(mat: IntMatrix) -> IntPoly:
@@ -435,6 +391,11 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     return IntPoly(reversed(desc))
 
 
+def det(mat: IntMatrix) -> int:
+    """Integer determinant: (-1)^N times the constant term of charpoly(M)."""
+    return (-1) ** mat.rows * charpoly(mat).coeffs[0]
+
+
 def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
     """Strip the known root 2r from a monic characteristic polynomial.
 
@@ -448,79 +409,66 @@ def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
 
 
 # ----------------------------------------------------------------------------
-# Eigen-products via resultants.
+# Eigen-products as resultants over Z[x].
 # ----------------------------------------------------------------------------
 
 
-def resultant(p: IntPoly, h: IntPoly) -> int:
-    """Resultant of p and h (both in one variable), via the Sylvester matrix.
+def _columns(f: BiPoly) -> list:
+    """f's coefficients in its second variable, ascending, as IntPoly in the first."""
+    return [
+        IntPoly(row[j] if j < len(row) else 0 for row in f.grid)
+        for j in range(f.deg_v + 1)
+    ]
 
-    For monic p this equals the product of h over the roots of p, which is
-    the only use this library makes of it.
+
+def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
+    """Res_v(a, b), the resultant in the second variable: a polynomial in the first.
+
+    The subresultant remainder sequence over Z[u] (Collins 1967, J. ACM 14;
+    Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    3.3.7): each pseudo-remainder of A by B is divided by g*h^(deg A - deg B),
+    which keeps coefficient growth polynomial.  Every division is exact by
+    the subresultant theorem; a remainder raises NotDivisible.
     """
-    if p.is_zero or h.is_zero:
+    if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
-    dp, dh = p.degree, h.degree
-    if dp == 0:
-        return p.coeffs[0] ** dh
-    if dh == 0:
-        return h.coeffs[0] ** dp
-    size = dp + dh
-    pc = list(reversed(p.coeffs))
-    hc = list(reversed(h.coeffs))
-    rows = []
-    for i in range(dh):
-        rows.append([0] * i + pc + [0] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + hc + [0] * (size - dh - 1 - i))
-    return det(IntMatrix.from_rows(rows))
-
-
-def _interpolate_integer(values) -> IntPoly:
-    """The integer polynomial through (x, values[x]) for x = 0, 1, ..., D.
-
-    Newton forward differences: p(x) = sum_k c_k * x(x-1)...(x-k+1) with
-    c_k = (k-th difference of the values at 0) / k!.  The k-th differences
-    of an integer polynomial are all divisible by k!, so dividing each row
-    of differences by k as it is formed keeps every entry an integer; a
-    remainder means no integer polynomial fits, and raises.
-    """
-    row = list(values)
-    coeffs = [row[0]]
-    for k in range(1, len(row)):
-        nxt = []
-        for a, b in zip(row, row[1:]):
-            q, rem = divmod(b - a, k)
-            if rem:
-                raise ArithmeticError("interpolation produced a non-integer coefficient")
-            nxt.append(q)
-        row = nxt
-        coeffs.append(row[0])
-    out = IntPoly.zero()
-    for k in range(len(coeffs) - 1, -1, -1):
-        out = out * IntPoly.linear_root(k) + coeffs[k]
-    return out
+    A, B = _columns(a), _columns(b)
+    sign = -1 if len(A) < len(B) and (len(A) - 1) * (len(B) - 1) % 2 else 1
+    if len(A) < len(B):
+        A, B = B, A
+    g = h = IntPoly.one()
+    while len(B) > 1:
+        m, n = len(A) - 1, len(B) - 1
+        if m * n % 2:
+            sign = -sign
+        c = B[-1]
+        r = A
+        for k in range(m - n, -1, -1):
+            top = r[k + n]
+            r = [c * t for t in r[:k + n]]
+            for i in range(n):
+                r[k + i] -= top * B[i]
+        while r and r[-1].is_zero:
+            r.pop()
+        if not r:
+            return IntPoly.zero()
+        scale = g * h ** (m - n)
+        A, B = B, [exact_div(t, scale) for t in r]
+        g = c
+        h = exact_div(g ** (m - n), h ** (m - n - 1)) if m > n else h
+    d = len(A) - 1
+    return sign * exact_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()
 
 
 def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     """Product of g(x, alpha) over the roots alpha of the monic polynomial p.
 
-    Evaluation-interpolation: the result has degree at most
-    D = deg_u(g)*deg(p), so sampling g at x = 0, 1, ..., D and taking one
-    exact integer resultant per sample pins it down.  The samples are
-    interpolated by Newton forward differences, where the k-th difference
-    must be divisible by k! for the result to be an integer polynomial; a
-    remainder raises ArithmeticError.  The first variable of g is the
+    For monic p this product is the resultant Res_v(p(v), g(u, v)), taken
+    exactly over Z[u]; a constant p gives 1.  The first variable of g is the
     surviving one; the second is bound to the roots of p.
     """
     if not p.is_monic:
         raise ValueError("eig_product: p must be monic")
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
-    if p.degree == 0:
-        return IntPoly.one()
-    values = []
-    for x0 in range(g.deg_u * p.degree + 1):
-        h = g.eval_u(x0)
-        values.append(0 if h.is_zero else resultant(p, h))
-    return _interpolate_integer(values)
+    return resultant(BiPoly((p.coeffs,)), g)

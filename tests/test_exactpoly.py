@@ -3,9 +3,11 @@
 The characteristic polynomial is cross-checked by expanding det(x*I - M)
 as a signed sum over permutations (an O(n!) oracle that shares no code
 with the production path) and against Bareiss determinants det(x0*I - M)
-at x0 = 0..N joined by Newton interpolation, the eigen-product against
-direct substitution of known roots, and its Newton interpolation against
-an independent Lagrange interpolation over the rationals.
+at x0 = 0..N joined by Lagrange interpolation over the rationals.  The
+resultant over Z[x] (a subresultant remainder sequence in production) and
+the eigen-product built on it are checked against direct substitution of
+known roots and against Sylvester-matrix Bareiss resultants at sample
+points joined the same way.
 """
 
 import itertools
@@ -20,7 +22,6 @@ from xyzspectra.exactpoly import (
     BiPoly,
     IntPoly,
     NotDivisible,
-    _interpolate_integer,
     charpoly,
     compose_linear,
     det,
@@ -31,7 +32,7 @@ from xyzspectra.exactpoly import (
 )
 from xyzspectra.formulas import list_cases
 from xyzspectra.graph import complete_graph, cycle_graph, petersen_graph
-from xyzspectra.linalg import IntMatrix, signless_laplacian
+from xyzspectra.linalg import IntMatrix, NotSquare, signless_laplacian
 from xyzspectra.transform import xyz_transform
 
 
@@ -69,22 +70,9 @@ def brute_charpoly(mat):
     return total
 
 
-def bareiss_charpoly(mat):
-    """det(x0*I - M) by Bareiss at x0 = 0..N, joined by Newton interpolation;
-    a reference for charpoly that shares no code with Berkowitz's recurrence."""
-    n = mat.rows
-    values = [
-        det(IntMatrix.from_rows(
-            [[(x0 if i == j else 0) - mat.entries[i][j] for j in range(n)] for i in range(n)]
-        ))
-        for x0 in range(n + 1)
-    ]
-    return _interpolate_integer(values)
-
-
 def lagrange_interpolate(points):
     """Lagrange interpolation through integer points over the rationals;
-    independent reference for the Newton interpolation in eig_product."""
+    ascending Fraction coefficients."""
     npts = len(points)
     coeffs = [Fraction(0)] * npts
     for i, (xi, yi) in enumerate(points):
@@ -104,6 +92,80 @@ def lagrange_interpolate(points):
         for k, c in enumerate(basis):
             coeffs[k] += c * scale
     return coeffs
+
+
+def integer_interpolate(values):
+    """The integer polynomial through (x, values[x]) for x = 0..D, by Lagrange
+    interpolation; every coefficient must come out with denominator 1."""
+    coeffs = lagrange_interpolate(list(enumerate(values)))
+    assert all(c.denominator == 1 for c in coeffs)
+    return IntPoly(int(c) for c in coeffs)
+
+
+def bareiss_det(mat):
+    """Integer determinant via fraction-free (Bareiss) elimination."""
+    n = mat.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in mat.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def bareiss_charpoly(mat):
+    """det(x0*I - M) by Bareiss at x0 = 0..N, joined by interpolation;
+    a reference for charpoly that shares no code with Berkowitz's recurrence."""
+    n = mat.rows
+    return integer_interpolate([
+        bareiss_det(IntMatrix.from_rows(
+            [[(x0 if i == j else 0) - mat.entries[i][j] for j in range(n)] for i in range(n)]
+        ))
+        for x0 in range(n + 1)
+    ])
+
+
+def sylvester_resultant(pc, hc):
+    """Resultant of two integer polynomials, given as ascending coefficient
+    lists of formal degree len - 1, as the Bareiss determinant of their
+    Sylvester matrix."""
+    dp, dh = len(pc) - 1, len(hc) - 1
+    size = dp + dh
+    if size == 0:
+        return 1
+    rows = [[0] * i + pc[::-1] + [0] * (size - dp - 1 - i) for i in range(dh)]
+    rows += [[0] * i + hc[::-1] + [0] * (size - dh - 1 - i) for i in range(dp)]
+    return bareiss_det(IntMatrix.from_rows(rows))
+
+
+def sylvester_bi_resultant(a, b):
+    """Res_v(a, b) of two BiPoly: one Sylvester resultant of the v-coefficients
+    at each x0 = 0..D, D = deg_u(a)*deg_v(b) + deg_u(b)*deg_v(a), joined by
+    interpolation.  Evaluating each coefficient keeps the formal degrees, so
+    a leading coefficient vanishing at x0 does not change the matrix shape."""
+    def at(f, x0):
+        return [sum(row[j] * x0 ** i for i, row in enumerate(f.grid) if j < len(row))
+                for j in range(f.deg_v + 1)]
+
+    bound = a.deg_u * b.deg_v + b.deg_u * a.deg_v
+    return integer_interpolate(
+        [sylvester_resultant(at(a, x0), at(b, x0)) for x0 in range(bound + 1)]
+    )
 
 
 class TestArithmetic:
@@ -202,7 +264,7 @@ class TestCharpoly:
             mat = IntMatrix.from_rows(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
-            assert charpoly(mat)(0) == (-1) ** (n % 2) * det(mat)
+            assert charpoly(mat)(0) == (-1) ** (n % 2) * bareiss_det(mat)
 
     def test_block_diagonal_factorizes(self):
         # charpoly of a block-diagonal matrix is the product of the blocks'
@@ -239,15 +301,15 @@ class TestCharpoly:
 
 class TestDet:
     def test_small_cases(self):
-        assert det(IntMatrix.from_rows([[5]])) == 5
-        assert det(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
-        assert det(IntMatrix.identity(4)) == 1
+        assert bareiss_det(IntMatrix.from_rows([[5]])) == 5
+        assert bareiss_det(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
+        assert bareiss_det(IntMatrix.identity(4)) == 1
 
     def test_singular_with_zero_pivot(self):
-        assert det(IntMatrix.from_rows([[0, 1], [0, 2]])) == 0
+        assert bareiss_det(IntMatrix.from_rows([[0, 1], [0, 2]])) == 0
 
     def test_row_swap_pivoting(self):
-        assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+        assert bareiss_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
 
     def test_against_permutation_expansion(self):
         rng = random.Random(17)
@@ -256,7 +318,20 @@ class TestDet:
             mat = IntMatrix.from_rows(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             )
-            assert det(mat) == brute_charpoly(mat)(0) * (-1) ** (n % 2)
+            assert bareiss_det(mat) == brute_charpoly(mat)(0) * (-1) ** (n % 2)
+
+    def test_public_det_matches_bareiss(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(0, 6)
+            mat = IntMatrix.from_rows(
+                [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            )
+            assert det(mat) == bareiss_det(mat)
+
+    def test_public_det_rejects_non_square(self):
+        with pytest.raises(NotSquare):
+            det(IntMatrix.from_rows([[1, 2]]))
 
 
 class TestReducedQPoly:
@@ -279,14 +354,29 @@ class TestReducedQPoly:
 
 
 class TestResultant:
+    """Integer resultants: eig_product with g constant in the first variable."""
+
     def test_two_linear(self):
-        assert resultant(from_roots(3), from_roots(5)) == 3 - 5
+        assert eig_product(from_roots(3), BiPoly.v() - 5) == poly(3 - 5)
 
     def test_constant_h(self):
-        assert resultant(from_roots(1, 2, 3), poly(7)) == 343
+        assert eig_product(from_roots(1, 2, 3), BiPoly.constant(7)) == poly(343)
 
     def test_shared_root(self):
-        assert resultant(from_roots(1, 2), from_roots(2, 9)) == 0
+        h = (BiPoly.v() - 2) * (BiPoly.v() - 9)
+        assert eig_product(from_roots(1, 2), h) == IntPoly.zero()
+
+    def test_non_monic_leading_coefficient(self):
+        # a = u*v - 1 has the root v = 1/u, so with b = v^2 - u:
+        # Res_v(a, b) = u^2 * b(1/u) = 1 - u^3, and Res_v(b, a) equals it
+        # because deg a * deg b is even
+        u, v = BiPoly.u(), BiPoly.v()
+        a, b = u * v - 1, v * v - u
+        assert resultant(a, b) == resultant(b, a) == poly(1, 0, 0, -1)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            resultant(BiPoly(), BiPoly.v())
 
 
 class TestEigProduct:
@@ -342,16 +432,15 @@ class TestEigProduct:
         expected = poly(-2, 3) * poly(-3, 4)
         assert got == expected
 
+    def test_p_of_lower_degree_than_g(self):
+        # deg p = 1 < deg_v g = 3, an odd product of degrees: p = q - 2 and
+        # g = lam - q^3 give lam - 8
+        q = BiPoly.v()
+        assert eig_product(from_roots(2), BiPoly.u() - q * q * q) == from_roots(8)
+
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             eig_product(poly(1, 2), BiPoly.u() - BiPoly.v())
-
-
-class TestInterpolation:
-    def test_integer_valued_non_integer_polynomial_raises(self):
-        # x(x-1)/2 takes integer values at 0..3 but has coefficients 1/2
-        with pytest.raises(ArithmeticError):
-            _interpolate_integer([x * (x - 1) // 2 for x in range(4)])
 
 
 class TestBiPoly:
@@ -405,15 +494,41 @@ def test_eig_product_identity_property(coeffs):
     assert eig_product(p, BiPoly.u() - BiPoly.v()) == p
 
 
-@seed(20130322)
-@settings(max_examples=60)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
-def test_newton_matches_lagrange(coeffs):
-    p = IntPoly(coeffs)
-    points = [(x, p(x)) for x in range(len(coeffs))]
-    expected = lagrange_interpolate(points)
-    assert all(c.denominator == 1 for c in expected)
-    assert _interpolate_integer([y for _, y in points]) == IntPoly(int(c) for c in expected)
+@st.composite
+def eig_product_inputs(draw):
+    """Monic p of degree 0-8 and nonzero g with deg_u <= 2 and deg_v <= 4."""
+    d = draw(st.integers(0, 8))
+    p = IntPoly(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) + [1])
+    du, dv = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=dv + 1, max_size=dv + 1))
+            for _ in range(du + 1)]
+    g = BiPoly(rows)
+    return p, (BiPoly.v() if g.is_zero else g)
+
+
+@seed(19670101)
+@settings(max_examples=250, deadline=None)
+@given(eig_product_inputs())
+def test_eig_product_matches_sylvester_reference(inputs):
+    p, g = inputs
+    assert eig_product(p, g) == sylvester_bi_resultant(BiPoly((p.coeffs,)), g)
+
+
+@st.composite
+def bipolys(draw):
+    """Nonzero BiPoly with deg_u <= 2 and deg_v <= 4, leading terms not forced."""
+    du, dv = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=dv + 1, max_size=dv + 1))
+            for _ in range(du + 1)]
+    f = BiPoly(rows)
+    return BiPoly.v() if f.is_zero else f
+
+
+@seed(19670102)
+@settings(max_examples=150, deadline=None)
+@given(bipolys(), bipolys())
+def test_resultant_matches_sylvester_reference(a, b):
+    assert resultant(a, b) == sylvester_bi_resultant(a, b)
 
 
 @st.composite
