@@ -1,16 +1,14 @@
 """Exact polynomial arithmetic over the integers.
 
-This is the computational kernel: univariate and bivariate polynomials
-with arbitrary-precision integer coefficients, exact characteristic
-polynomials and determinants of integer matrices (Berkowitz), and
-products of a bivariate factor over the roots of a monic polynomial (one
-resultant over Z[x], by the subresultant remainder sequence).  No
-floating point, no modular shortcuts; every result is bit-exact.
+The computational kernel: integer univariate and bivariate polynomials, characteristic
+polynomials and determinants of integer matrices (modulo one prime above Hadamard's
+bound), and products of a bivariate factor over the roots of a monic polynomial (one
+resultant over Z[x]).  No floating point; every result is exact by a proven bound.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from math import isqrt, prod
 
 from .linalg import IntMatrix, NotSquare
 
@@ -360,35 +358,48 @@ class BiPoly:
 # ----------------------------------------------------------------------------
 
 
+# 2^e - 1 is prime (Lucas-Lehmer); a graph's B <= (N + 2)^N < 2^11212 for N <= MAX_HEADER_ORDER.
+_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
+
+
 def charpoly(mat: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - M), monic of degree dim(M).
 
-    Berkowitz's division-free algorithm (Berkowitz 1984, Inf. Process.
-    Lett. 18).  Write the leading (k+1) x (k+1) block as the k x k block C
-    bordered by the column S, the row R and the corner a_kk.  The block's
-    descending coefficients are the lower-triangular Toeplitz matrix with
-    first column [1, -a_kk, -R*S, -R*C*S, ..., -R*C^(k-1)*S] times C's.
-    Only integer additions and multiplications occur, so the result is
-    exact with no bound and no modulus.
+    Hadamard's bound on each principal k-minor gives |c_(N-k)| <= e_k(|row_i|) <= B =
+    prod_i (2 + isqrt(sum_j a_ij^2)).  Modulo p, the least tabulated Mersenne prime above
+    2B, a similarity pivoting on any nonzero entry below the subdiagonal makes M upper
+    Hessenberg; its recurrence gives the coefficients, lifted to (-p/2, p/2) (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.2).  ValueError if no p fits.
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
-    a = mat.entries
-    desc = [1]  # descending coefficients of the leading k x k block
-    for k in range(mat.rows):
-        block = [row[:k] for row in a[:k]]
-        bottom = a[k][:k]
-        v = [row[k] for row in a[:k]]
-        col = [1, -a[k][k]]
-        for i in range(k):
-            if i:
-                v = [sum(map(mul, row, v)) for row in block]
-            col.append(-sum(map(mul, bottom, v)))
-        desc = [
-            sum(col[i - j] * desc[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return IntPoly(reversed(desc))
+    bits = prod(2 + isqrt(sum(x * x for x in row)) for row in mat.entries).bit_length()
+    if bits >= _MERSENNE[-1]:
+        raise ValueError("charpoly: entries too large for the tabulated primes")
+    p = next(2**e - 1 for e in _MERSENNE if e > bits)  # 2^e - 1 > 2B iff e > bits(B)
+    n, h = mat.rows, [[x % p for x in row] for row in mat.entries]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), k)
+        h[k], h[piv] = h[piv], h[k]
+        for row in h:
+            row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1] or 1, -1, p)  # an all-zero column leaves every t at 0
+        for i in range(k + 1, n):
+            if t := h[i][k - 1] * inv % p:  # row_i -= t*row_k, col_k += t*col_i
+                h[i] = [(x - t * y) % p for x, y in zip(h[i], h[k])]
+                for row in h:
+                    row[k] = (row[k] + t * row[i]) % p
+    polys = [[1]]  # ascending charpolys of the leading k x k blocks, mod p
+    for k in range(n):
+        new = [d - h[k][k] * c for c, d in zip(polys[k] + [0], [0] + polys[k])]
+        t = 1  # h[i+1][i] * ... * h[k][k-1]
+        for i in range(k - 1, -1, -1):
+            if not (t := t * h[i + 1][i] % p):
+                break
+            for j, c in enumerate(polys[i]):
+                new[j] -= h[i][k] * t * c
+        polys.append([c % p for c in new])
+    return IntPoly(c - p if c > p // 2 else c for c in polys[n])
 
 
 def det(mat: IntMatrix) -> int:
@@ -421,14 +432,18 @@ def _columns(f: BiPoly) -> list:
     ]
 
 
+def _unit_div(a: IntPoly, b: IntPoly) -> IntPoly:
+    return a * b.coeffs[0] if b.coeffs in ((1,), (-1,)) else exact_div(a, b)
+
+
 def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     """Res_v(a, b), the resultant in the second variable: a polynomial in the first.
 
     The subresultant remainder sequence over Z[u] (Collins 1967, J. ACM 14;
     Cohen, A Course in Computational Algebraic Number Theory, Algorithm
     3.3.7): each pseudo-remainder of A by B is divided by g*h^(deg A - deg B),
-    which keeps coefficient growth polynomial.  Every division is exact by
-    the subresultant theorem; a remainder raises NotDivisible.
+    which keeps coefficient growth polynomial (a unit divisor multiplies).  Every
+    division is exact by the subresultant theorem; a remainder raises NotDivisible.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
@@ -453,11 +468,11 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
         if not r:
             return IntPoly.zero()
         scale = g * h ** (m - n)
-        A, B = B, [exact_div(t, scale) for t in r]
+        A, B = B, [_unit_div(t, scale) for t in r]
         g = c
-        h = exact_div(g ** (m - n), h ** (m - n - 1)) if m > n else h
+        h = _unit_div(g ** (m - n), h ** (m - n - 1)) if m > n else h
     d = len(A) - 1
-    return sign * exact_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()
+    return sign * _unit_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()
 
 
 def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:

@@ -1,18 +1,21 @@
 """The exact polynomial kernel, checked against independent brute force.
 
-The characteristic polynomial is cross-checked by expanding det(x*I - M)
-as a signed sum over permutations (an O(n!) oracle that shares no code
-with the production path) and against Bareiss determinants det(x0*I - M)
-at x0 = 0..N joined by Lagrange interpolation over the rationals.  The
-resultant over Z[x] (a subresultant remainder sequence in production) and
-the eigen-product built on it are checked against direct substitution of
-known roots and against Sylvester-matrix Bareiss resultants at sample
-points joined the same way.
+The characteristic polynomial (Hessenberg reduction modulo one prime in
+production) is cross-checked by expanding det(x*I - M) as a signed sum over
+permutations (an O(n!) oracle that shares no code with the production path),
+against Berkowitz's division-free recurrence over Z, and against Bareiss
+determinants det(x0*I - M) at x0 = 0..N joined by Lagrange interpolation
+over the rationals.  The resultant over Z[x] (a subresultant remainder
+sequence in production) and the eigen-product built on it are checked
+against direct substitution of known roots and against Sylvester-matrix
+Bareiss resultants at sample points joined the same way.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings
@@ -31,9 +34,9 @@ from xyzspectra.exactpoly import (
     resultant,
 )
 from xyzspectra.formulas import list_cases
-from xyzspectra.graph import complete_graph, cycle_graph, petersen_graph
+from xyzspectra.graph import circulant_graph, complete_graph, cycle_graph, petersen_graph
 from xyzspectra.linalg import IntMatrix, NotSquare, signless_laplacian
-from xyzspectra.transform import xyz_transform
+from xyzspectra.transform import XyzCase, xyz_transform
 
 
 def poly(*coeffs):
@@ -72,26 +75,24 @@ def brute_charpoly(mat):
 
 def lagrange_interpolate(points):
     """Lagrange interpolation through integer points over the rationals;
-    ascending Fraction coefficients."""
-    npts = len(points)
-    coeffs = [Fraction(0)] * npts
+    ascending Fraction coefficients.  Each basis polynomial prod_{j != i}
+    (x - xj) has integer coefficients; the weighted sum is taken over the
+    common denominator of the (xi - xj) products."""
+    terms = []
     for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = 1
+        basis, denom = [1], 1
         for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        terms.append((basis, yi, denom))
+    common = lcm(*(denom for _, _, denom in terms))
+    numer = [0] * len(points)
+    for basis, yi, denom in terms:
+        weight = yi * (common // denom)
         for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    return coeffs
+            numer[k] += c * weight
+    return [Fraction(c, common) for c in numer]
 
 
 def integer_interpolate(values):
@@ -128,9 +129,34 @@ def bareiss_det(mat):
     return sign * a[n - 1][n - 1]
 
 
+def berkowitz_charpoly(mat):
+    """Berkowitz's division-free recurrence (Berkowitz 1984, Inf. Process.
+    Lett. 18), exact over Z with no bound and no modulus.  Write the leading
+    (k+1) x (k+1) block as the k x k block C bordered by the column S, the row
+    R and the corner a_kk.  The block's descending coefficients are the
+    lower-triangular Toeplitz matrix with first column
+    [1, -a_kk, -R*S, -R*C*S, ..., -R*C^(k-1)*S] times C's."""
+    a = mat.entries
+    desc = [1]  # descending coefficients of the leading k x k block
+    for k in range(mat.rows):
+        block = [row[:k] for row in a[:k]]
+        bottom = a[k][:k]
+        v = [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for i in range(k):
+            if i:
+                v = [sum(map(mul, row, v)) for row in block]
+            col.append(-sum(map(mul, bottom, v)))
+        desc = [
+            sum(col[i - j] * desc[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPoly(reversed(desc))
+
+
 def bareiss_charpoly(mat):
     """det(x0*I - M) by Bareiss at x0 = 0..N, joined by interpolation;
-    a reference for charpoly that shares no code with Berkowitz's recurrence."""
+    a reference for charpoly that shares no code with either recurrence."""
     n = mat.rows
     return integer_interpolate([
         bareiss_det(IntMatrix.from_rows(
@@ -297,6 +323,36 @@ class TestCharpoly:
             for case in list_cases():
                 q = signless_laplacian(xyz_transform(g, case))
                 assert charpoly(q) == bareiss_charpoly(q), str(case)
+
+    def test_ladder_sized_q_needs_a_prime_above_2_127(self):
+        # the +++ transform of C16(1,3), N = 48 as on the benchmark's ladder:
+        # its Hadamard bound has 160 bits, so p = 2^521 - 1, and its
+        # coefficients reach 147 bits, beyond any smaller tabulated prime
+        q = signless_laplacian(xyz_transform(circulant_graph(16, [1, 3]), XyzCase.parse("+++")))
+        assert prod(2 + isqrt(sum(x * x for x in row)) for row in q.entries).bit_length() > 127
+        got = charpoly(q)
+        assert max(abs(c) for c in got.coeffs).bit_length() > 127
+        assert got == bareiss_charpoly(q)
+
+    def test_zero_pivot_is_swapped_in(self):
+        # column 0 is zero on the subdiagonal but not below it
+        mat = IntMatrix.from_rows([[1, 2, 3], [0, 4, 5], [6, 7, -8]])
+        assert charpoly(mat) == brute_charpoly(mat) == berkowitz_charpoly(mat)
+
+    def test_zero_column_below_subdiagonal_is_skipped(self):
+        # block upper triangular: column 1 has nothing to eliminate
+        mat = IntMatrix.from_rows([[1, -2, 3, 4], [5, 6, 7, 8], [0, 0, 9, -1], [0, 0, 2, 3]])
+        assert charpoly(mat) == brute_charpoly(mat) == berkowitz_charpoly(mat)
+
+    def test_tabulated_prime_boundaries(self):
+        # B = 2^60 + 2 has 61 bits, so p = 2^89 - 1: the prime 2^61 - 1 is
+        # above B but not above 2B, and would lift -2^60 to 2^60 - 1
+        for a in (2**60, -2**60):
+            assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
+        big = 2**11211  # the largest tabulated prime, 2^11213 - 1, still fits
+        assert charpoly(IntMatrix.from_rows([[big]])) == IntPoly.linear_root(big)
+        with pytest.raises(ValueError):
+            charpoly(IntMatrix.from_rows([[2 * big]]))
 
 
 class TestDet:
@@ -533,17 +589,24 @@ def test_resultant_matches_sylvester_reference(a, b):
 
 @st.composite
 def int_matrices(draw):
-    """Square integer matrices of size 0-10, symmetric or not."""
-    n = draw(st.integers(0, 10))
+    """Square integer matrices of size 0-12: symmetric or not, dense or with
+    the odd draws zeroed, and block upper triangular from a drawn split.
+    Zeros force the Hessenberg reduction to swap in pivots from below the
+    subdiagonal, and the split leaves columns with nothing to eliminate."""
+    n = draw(st.integers(0, 12))
     flat = draw(st.lists(st.integers(-20, 20), min_size=n * n, max_size=n * n))
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
     if draw(st.booleans()):
-        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        flat = [0 if x % 2 else x for x in flat]
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    split = draw(st.integers(0, n))
+    rows = [[0 if i >= split > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if draw(st.booleans()):
+        rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
     return IntMatrix.from_rows(rows)
 
 
 @seed(19840101)
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
-def test_charpoly_matches_bareiss_reference(mat):
-    assert charpoly(mat) == bareiss_charpoly(mat)
+def test_charpoly_matches_references(mat):
+    assert charpoly(mat) == berkowitz_charpoly(mat) == bareiss_charpoly(mat)
