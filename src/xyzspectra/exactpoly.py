@@ -4,11 +4,13 @@ The computational kernel: integer univariate and bivariate polynomials, characte
 polynomials and determinants of integer matrices (modulo one prime above Hadamard's
 bound), and products of a bivariate factor over the roots of a monic polynomial (one
 resultant over Z[x]).  No floating point; every result is exact by a proven bound.
+Constructors take ints only, and operator results are canonical by construction.
 """
 
 from __future__ import annotations
 
 from math import isqrt, prod
+from operator import index
 
 from .linalg import IntMatrix, NotSquare
 
@@ -35,20 +37,21 @@ class DegreeMismatch(ValueError):
     """A polynomial came out with the wrong degree."""
 
 
-def _trim(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
+def _trim(cs: list) -> tuple:
+    while cs and not cs[-1]:  # a zero coefficient, or an empty row of a grid
         cs.pop()
     return tuple(cs)
 
 
 class IntPoly:
-    """Univariate integer polynomial; coefficients ascending, no trailing zeros."""
+    """Univariate integer polynomial; coefficients ascending, no trailing zeros.
+
+    A coefficient that is not an int, such as 1.5 or "3", raises TypeError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _trim([index(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -111,7 +114,7 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _intpoly(out)
 
     __radd__ = __add__
 
@@ -122,20 +125,18 @@ class IntPoly:
         return -self + other
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
+        return _intpoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly(other * c for c in self.coeffs)
+            return _intpoly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPoly(out)
+        return _intpoly(out)
 
     def __rmul__(self, other: int) -> IntPoly:
         return self * other
@@ -143,8 +144,7 @@ class IntPoly:
     def __pow__(self, k: int) -> IntPoly:
         if k < 0:
             raise ValueError("pow: exponent must be >= 0")
-        out = IntPoly.one()
-        base = self
+        out, base = IntPoly.one(), self
         while k:
             if k & 1:
                 out = out * base
@@ -192,7 +192,7 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
                 rem[k + i] -= t * c
     if any(rem):
         raise NotDivisible("nonzero remainder")
-    return IntPoly(quot)
+    return _intpoly(quot)
 
 
 def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
@@ -210,16 +210,14 @@ class BiPoly:
     The two variables are abstract; callers bind them to (lambda, q) for
     per-eigenvalue factors or to the two arguments of a matrix polynomial.
     Rows are ragged and canonical: no row ends in a zero and the last row
-    is not empty, so equal polynomials have equal grids.
+    is not empty, so equal polynomials have equal grids.  A coefficient that
+    is not an int raises TypeError.
     """
 
     __slots__ = ("grid",)
 
     def __init__(self, grid=()):
-        rows = [_trim(int(c) for c in row) for row in grid]
-        while rows and not rows[-1]:
-            rows.pop()
-        object.__setattr__(self, "grid", tuple(rows))
+        object.__setattr__(self, "grid", _bipoly([[index(c) for c in row] for row in grid]).grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -277,12 +275,12 @@ class BiPoly:
             for i, row in enumerate(grid):
                 for j, c in enumerate(row):
                     out[i][j] += c
-        return BiPoly(out)
+        return _bipoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return BiPoly(tuple(tuple(-c for c in row) for row in self.grid))
+        return _bipoly([[-c for c in row] for row in self.grid])
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -297,8 +295,6 @@ class BiPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return BiPoly()
         h = len(self.grid) + len(other.grid) - 1
         w = self.deg_v + other.deg_v + 1
         out = [[0] * w for _ in range(h)]
@@ -309,20 +305,19 @@ class BiPoly:
                         for l, cb in enumerate(rb):
                             if cb:
                                 out[i + k][j + l] += ca * cb
-        return BiPoly(out)
+        return _bipoly(out)
 
     __rmul__ = __mul__
 
     def eval_u(self, x: int) -> IntPoly:
         """Substitute an integer for the first variable; polynomial in the second."""
-        w = self.deg_v + 1
-        out = [0] * max(w, 0)
+        out = [0] * (self.deg_v + 1)
         p = 1
         for row in self.grid:
             for j, c in enumerate(row):
                 out[j] += c * p
             p *= x
-        return IntPoly(out)
+        return _intpoly(out)
 
     def pretty(self, u: str = "x", v: str = "y") -> str:
         """Term-by-term display, u-major: x^2 - x*y + 3."""
@@ -351,6 +346,23 @@ class BiPoly:
                 else:
                     terms.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(terms)
+
+
+_new, _set_coeffs, _set_grid = object.__new__, IntPoly.coeffs.__set__, BiPoly.grid.__set__
+
+
+def _intpoly(cs: list) -> IntPoly:
+    """The operators' constructor: wraps a list of ints, trimmed in place, unchecked."""
+    p = _new(IntPoly)
+    _set_coeffs(p, _trim(cs))
+    return p
+
+
+def _bipoly(rows: list) -> BiPoly:
+    """The same for a grid as a list of int lists; empty last rows are dropped too."""
+    f = _new(BiPoly)
+    _set_grid(f, _trim([_trim(row) for row in rows]))
+    return f
 
 
 # ----------------------------------------------------------------------------
@@ -399,7 +411,7 @@ def charpoly(mat: IntMatrix) -> IntPoly:
             for j, c in enumerate(polys[i]):
                 new[j] -= h[i][k] * t * c
         polys.append([c % p for c in new])
-    return IntPoly(c - p if c > p // 2 else c for c in polys[n])
+    return _intpoly([c - p if c > p // 2 else c for c in polys[n]])
 
 
 def det(mat: IntMatrix) -> int:
@@ -427,7 +439,7 @@ def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
 def _columns(f: BiPoly) -> list:
     """f's coefficients in its second variable, ascending, as IntPoly in the first."""
     return [
-        IntPoly(row[j] if j < len(row) else 0 for row in f.grid)
+        _intpoly([row[j] if j < len(row) else 0 for row in f.grid])
         for j in range(f.deg_v + 1)
     ]
 
@@ -444,6 +456,8 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     3.3.7): each pseudo-remainder of A by B is divided by g*h^(deg A - deg B),
     which keeps coefficient growth polynomial (a unit divisor multiplies).  Every
     division is exact by the subresultant theorem; a remainder raises NotDivisible.
+    The pseudo-remainder scales lazily: an entry takes its power of lc(B) when a
+    step first writes it, not once per step, and h is updated only when read.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
@@ -452,26 +466,32 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     if len(A) < len(B):
         A, B = B, A
     g = h = IntPoly.one()
+    delta = 0  # h owes the update h <- g^delta / h^(delta-1) until something reads it
     while len(B) > 1:
+        if delta:
+            h = _unit_div(g ** delta, h ** (delta - 1))
         m, n = len(A) - 1, len(B) - 1
         if m * n % 2:
             sign = -sign
-        c = B[-1]
-        r = A
-        for k in range(m - n, -1, -1):
-            top = r[k + n]
-            r = [c * t for t in r[:k + n]]
-            for i in range(n):
-                r[k + i] -= top * B[i]
+        c, delta = B[-1], m - n
+        # prem(A, B) = c^(delta+1) A mod B, each entry scaled only when written: the top is as
+        # the step before wrote it, entries above k gain one c since then, k gets ck = c^step.
+        r, ck = list(A), IntPoly.one()
+        for k in range(delta, -1, -1):
+            top, ck = r[k + n], ck * c
+            r[k] = r[k] * ck - top * B[0]
+            for i in range(1, n):
+                r[k + i] = r[k + i] * c - top * B[i]
+        r = r[:n]
         while r and r[-1].is_zero:
             r.pop()
         if not r:
             return IntPoly.zero()
-        scale = g * h ** (m - n)
-        A, B = B, [_unit_div(t, scale) for t in r]
-        g = c
-        h = _unit_div(g ** (m - n), h ** (m - n - 1)) if m > n else h
+        scale = g * h ** delta
+        A, B, g = B, [_unit_div(t, scale) for t in r], c
     d = len(A) - 1
+    if d > 1 and delta:
+        h = _unit_div(g ** delta, h ** (delta - 1))
     return sign * _unit_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()
 
 
@@ -486,4 +506,4 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
         raise ValueError("eig_product: p must be monic")
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
-    return resultant(BiPoly((p.coeffs,)), g)
+    return resultant(_bipoly([list(p.coeffs)]), g)

@@ -230,6 +230,13 @@ class TestArithmetic:
         assert 3 - p == poly(2, -2)
         assert (p - 1) + (1 - p) == IntPoly.zero()
 
+    def test_non_int_coefficients_rejected(self):
+        for bad in ([1.5, 2.9], [1.0], ["3"], [1, None]):
+            with pytest.raises(TypeError):
+                IntPoly(bad)
+        with pytest.raises(TypeError):
+            IntPoly.constant(1.5)
+
 
 class TestComposeLinear:
     def test_square_shift(self):
@@ -521,6 +528,11 @@ class TestBiPoly:
         assert BiPoly([[1, 0], [0, 0]]).grid == ((1,),)
         assert (BiPoly.u() * BiPoly.u() + 1).grid == ((1,), (), (1,))
 
+    def test_non_int_coefficients_rejected(self):
+        for bad in ([[0.7, 2.2]], [[1], [2.0]], [["3"]], [[1, "2"]]):
+            with pytest.raises(TypeError):
+                BiPoly(bad)
+
 
 # ----------------------------------------------------------------------------
 # Property-based checks.
@@ -585,6 +597,67 @@ def bipolys(draw):
 @given(bipolys(), bipolys())
 def test_resultant_matches_sylvester_reference(a, b):
     assert resultant(a, b) == sylvester_bi_resultant(a, b)
+
+
+small_coeffs = st.lists(st.integers(-3, 3), max_size=6)
+small_grids = st.lists(st.lists(st.integers(-3, 3), max_size=4), max_size=4)
+
+
+def assert_canonical(p):
+    """p equals, in fields, == and hash, the public constructor's form of its own
+    coefficients: ints only, no trailing zero, no empty last BiPoly row."""
+    if isinstance(p, IntPoly):
+        q = IntPoly(list(p.coeffs))
+        assert p.coeffs == q.coeffs and all(type(c) is int for c in p.coeffs)
+    else:
+        q = BiPoly([list(row) for row in p.grid])
+        assert p.grid == q.grid and all(type(c) is int for row in p.grid for c in row)
+    assert p == q and hash(p) == hash(q)
+
+
+@seed(19670103)
+@settings(max_examples=300, deadline=None)
+@given(small_coeffs, small_coeffs, st.integers(-3, 3), small_grids, small_grids)
+def test_operator_results_are_canonical(a_coeffs, b_coeffs, k, f_grid, g_grid):
+    a, b, f, g = IntPoly(a_coeffs), IntPoly(b_coeffs), BiPoly(f_grid), BiPoly(g_grid)
+    results = [a * b, a + b, a - b, -a, k * a, a * k, a + k, k - a, f + g, f - g, f * g,
+               -f, k * f, f - k, f.eval_u(k), compose_linear(a, -1, k)]
+    if not b.is_zero:
+        results.append(exact_div(a * b, b))
+    for p in results:
+        assert_canonical(p)
+    assert (a + (-a)).coeffs == (a - a).coeffs == ()
+    assert (f + (-f)).grid == (f - f).grid == ()
+
+
+@st.composite
+def lazy_scaling_pairs(draw):
+    """(a, b) with 1 <= deg_v(b) <= 3, deg_v(a) >= deg_v(b) + 3 (up to 7), and
+    lc_v(b) of degree 1-2 in u: the pseudo-remainder runs at least four steps
+    with a nonunit leading coefficient, so entries wait at different powers."""
+    def draw_bipoly(dv, lead_du):
+        cols = [draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) for _ in range(dv)]
+        cols.append(draw(st.lists(st.integers(-4, 4), min_size=lead_du, max_size=lead_du))
+                    + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))])
+        du = max(len(col) for col in cols)
+        return BiPoly([[col[i] if i < len(col) else 0 for col in cols] for i in range(du)])
+
+    nb = draw(st.integers(1, 3))
+    b = draw_bipoly(nb, draw(st.integers(1, 2)))
+    a = draw_bipoly(draw(st.integers(nb + 3, 7)), draw(st.integers(0, 2)))
+    return a, b
+
+
+@seed(19670104)
+@settings(max_examples=150, deadline=None)
+@given(lazy_scaling_pairs())
+def test_lazily_scaled_resultant_matches_sylvester_reference(pair):
+    a, b = pair
+    lead = IntPoly([row[b.deg_v] if len(row) > b.deg_v else 0 for row in b.grid])
+    assert a.deg_v - b.deg_v >= 3 and lead.degree >= 1
+    expected = sylvester_bi_resultant(a, b)
+    assert resultant(a, b) == expected
+    assert resultant(b, a) == (-1) ** (a.deg_v * b.deg_v) * expected
 
 
 @st.composite
