@@ -5,14 +5,18 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 graph exits 2 from transform, formula and verify; charpoly accepts it.
 gen exits 2, before building anything, when the graph's n + m would
 exceed graph.MAX_HEADER_ORDER (1000), the limit every edge-list header
-obeys.  Polynomial output is the ascending coefficient list in decimal,
-one line, so runs over the same input are byte-identical.  Data goes to
-stdout, diagnostics to stderr.
+obeys.  An input file that cannot be read or parsed, or an output file
+that cannot be written, exits 2 with one "<cmd>: ..." stderr line.  When
+stdout's reader has gone (a pipe into head -n 1), the command ends quietly
+with exit 141, the shell's 128 + SIGPIPE.  Polynomial output is the
+ascending coefficient list in decimal, one line, so runs over the same
+input are byte-identical.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .exactpoly import DegreeMismatch, NotDivisible, charpoly
@@ -47,12 +51,9 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_regular(cmd: str, path: str):
-    """Load a regular graph with edges: (graph, r), or (None, exit code)
-    after one stderr line naming cmd."""
-    try:
-        g = _load_graph(path)
-    except (OSError, GraphError) as exc:
-        return None, _fail(EXIT_USAGE, f"{cmd}: {exc}")
+    """Load a regular graph with edges: (graph, r), or (None, exit code) after
+    one stderr line naming cmd.  Read and parse errors go up to main."""
+    g = _load_graph(path)
     r = regularity(g)
     if r is None:
         return None, _fail(EXIT_IRREGULAR, f"{cmd}: input graph is not regular")
@@ -79,10 +80,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    try:
-        case = XyzCase.parse(args.case)
-    except GraphError as exc:
-        return _fail(EXIT_USAGE, f"transform: {exc}")
+    case = XyzCase.parse(args.case)
     g, r = _load_regular("transform", args.input)
     if g is None:
         return r
@@ -91,20 +89,13 @@ def cmd_transform(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except (OSError, GraphError) as exc:
-        return _fail(EXIT_USAGE, f"charpoly: {exc}")
-    poly = charpoly(_MATRICES[args.matrix](g))
+    poly = charpoly(_MATRICES[args.matrix](_load_graph(args.input)))
     print(poly.to_string())
     return EXIT_OK
 
 
 def cmd_formula(args) -> int:
-    try:
-        case = XyzCase.parse(args.case)
-    except GraphError as exc:
-        return _fail(EXIT_USAGE, f"formula: {exc}")
+    case = XyzCase.parse(args.case)
     g, r = _load_regular("formula", args.input)
     if g is None:
         return r
@@ -125,13 +116,7 @@ def cmd_verify(args) -> int:
     g, r = _load_regular("verify", args.input)
     if g is None:
         return r
-    if args.all:
-        cases = list_cases()
-    else:
-        try:
-            cases = [XyzCase.parse(args.case)]
-        except GraphError as exc:
-            return _fail(EXIT_USAGE, f"verify: {exc}")
+    cases = list_cases() if args.all else [XyzCase.parse(args.case)]
     report = run_corpus([(args.input, g)], cases)
     for res in report.results:
         tag = "PASS" if res.outcome == "match" else "FAIL"
@@ -193,7 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Exit as a shell reports SIGPIPE (128 + 13), with stdout pointed at
+        # devnull so that the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (OSError, GraphError) as exc:  # a file not read or written, or malformed input
+        return _fail(EXIT_USAGE, f"{args.command}: {exc}")
+    return code
 
 
 if __name__ == "__main__":

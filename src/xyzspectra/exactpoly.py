@@ -46,7 +46,8 @@ def _trim(cs: list) -> tuple:
 class IntPoly:
     """Univariate integer polynomial; coefficients ascending, no trailing zeros.
 
-    A coefficient that is not an int, such as 1.5 or "3", raises TypeError."""
+    A coefficient that is not an int, such as 1.5 or "3", raises TypeError; so
+    does an operand of +, - or * that is neither an IntPoly nor an int."""
 
     __slots__ = ("coeffs",)
 
@@ -106,7 +107,9 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = IntPoly.constant(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -119,16 +122,20 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, (IntPoly, int)):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: int) -> IntPoly:
+    def __rsub__(self, other):
         return -self + other
 
     def __neg__(self) -> IntPoly:
         return _intpoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):  # one test on the hot path, IntPoly * IntPoly
+            if not isinstance(other, int):
+                return NotImplemented
             return _intpoly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
@@ -138,8 +145,7 @@ class IntPoly:
                     out[i + j] += ca * cb
         return _intpoly(out)
 
-    def __rmul__(self, other: int) -> IntPoly:
-        return self * other
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> IntPoly:
         if k < 0:
@@ -289,7 +295,7 @@ class BiPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return -self + other
 
     def __mul__(self, other):
         other = self._lift(other)

@@ -9,6 +9,7 @@ characteristic polynomial computation) deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 __all__ = [
     "Graph",
@@ -99,8 +100,8 @@ class Graph:
 
 
 def from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from explicit pairs; the input order is the edge order."""
-    return Graph(n, tuple((int(u), int(v)) for u, v in pairs))
+    """Build a graph from int pairs (TypeError otherwise); the input order is the edge order."""
+    return Graph(n, tuple((index(u), index(v)) for u, v in pairs))
 
 
 # ----------------------------------------------------------------------------

@@ -5,11 +5,13 @@ ints and no floating point appears anywhere.  A matrix has at most n + m
 rows, which the edge-list header limits to 1000, so dense row tuples are
 the simplest correct storage.  The characteristic polynomial reads those
 row tuples directly; the schoolbook product serves the identity checks.
+A, D, L and Q are each d*D + a*A, built in one pass over the edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .graph import Graph
 
@@ -49,7 +51,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        """Matrix from rows of ints; any other entry raises TypeError."""
+        tup = tuple(tuple(index(x) for x in row) for row in rows)
         return cls(len(tup), len(tup[0]) if tup else 0, tup)
 
     @classmethod
@@ -72,18 +75,6 @@ class IntMatrix:
             self.cols,
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("sub: shapes differ")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             ),
         )
@@ -125,29 +116,32 @@ class IntMatrix:
 # ----------------------------------------------------------------------------
 
 
-def adjacency(g: Graph) -> IntMatrix:
-    a = [[0] * g.n for _ in range(g.n)]
+def _graph_matrix(g: Graph, d: int, a: int) -> IntMatrix:
+    """d*D + a*A: each edge adds d at (u, u) and (v, v) and puts a at (u, v) and (v, u)."""
+    rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return IntMatrix.from_rows(a)
+        rows[u][u] += d
+        rows[v][v] += d
+        rows[u][v] = rows[v][u] = a
+    return IntMatrix(g.n, g.n, tuple(tuple(row) for row in rows))
+
+
+def adjacency(g: Graph) -> IntMatrix:
+    return _graph_matrix(g, 0, 1)
 
 
 def degree_matrix(g: Graph) -> IntMatrix:
-    deg = g.degrees()
-    return IntMatrix.from_rows(
-        [[deg[i] if i == j else 0 for j in range(g.n)] for i in range(g.n)]
-    )
+    return _graph_matrix(g, 1, 0)
 
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency."""
-    return degree_matrix(g) - adjacency(g)
+    return _graph_matrix(g, 1, -1)
 
 
 def signless_laplacian(g: Graph) -> IntMatrix:
     """Degree matrix plus adjacency."""
-    return degree_matrix(g) + adjacency(g)
+    return _graph_matrix(g, 1, 1)
 
 
 def incidence(g: Graph) -> IntMatrix:

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -258,3 +261,36 @@ class TestCorpus:
         assert len(doc1["results"]) == 128
         assert doc1["failures"] == []
         assert capsys.readouterr().err.strip().endswith("128/128 matched")
+
+
+class TestOutputFailures:
+    """An unwritable output file exits 2; a closed stdout ends quietly."""
+
+    def test_unwritable_output_exits_2(self, k3_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "default_corpus", lambda: [("K3", complete_graph(3))])
+        missing = str(tmp_path / "no-such-dir" / "out")
+        for argv in (["gen", "cycle", "6", "--out", missing],
+                     ["transform", k3_file, "--case", "+++", "--out", missing],
+                     ["corpus", "--report", missing],
+                     ["gen", "cycle", "6", "--out", str(tmp_path)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{argv[0]}: ")
+            assert captured.err.count("\n") == 1
+
+    def test_closed_stdout_ends_quietly(self, k3_file):
+        # the read end is closed before the child starts, so its first write
+        # to stdout meets a broken pipe
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (["formula", k3_file, "--case", "+++"], ["verify", k3_file, "--all"]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "xyzspectra.cli", *argv],
+                                      stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+            finally:
+                os.close(w)
+            assert proc.stderr == b""
+            assert proc.returncode == 141

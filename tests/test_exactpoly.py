@@ -237,6 +237,17 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             IntPoly.constant(1.5)
 
+    def test_non_int_operands_rejected(self):
+        # neither an IntPoly nor an int: NotImplemented both ways, so TypeError
+        p = IntPoly.x()
+        for bad in (1.5, "3", None, BiPoly.u(), Fraction(1, 2)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(p, bad)
+                with pytest.raises(TypeError):
+                    op(bad, p)
+        assert True * p == p * True == p
+
 
 class TestComposeLinear:
     def test_square_shift(self):
@@ -532,6 +543,14 @@ class TestBiPoly:
         for bad in ([[0.7, 2.2]], [[1], [2.0]], [["3"]], [[1, "2"]]):
             with pytest.raises(TypeError):
                 BiPoly(bad)
+
+    def test_non_int_operands_rejected(self):
+        for bad in (1.5, None):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(BiPoly.u(), bad)
+                with pytest.raises(TypeError):
+                    op(bad, BiPoly.u())
 
 
 # ----------------------------------------------------------------------------

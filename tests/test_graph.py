@@ -65,6 +65,11 @@ class TestConstruction:
         g = from_edge_list(4, [(2, 3), (0, 1)])
         assert g.edges == ((2, 3), (0, 1))
 
+    def test_non_int_endpoints_rejected(self):
+        for bad in ((0.9, 1.7), (0, 1.0), ("0", 1), (0, None)):
+            with pytest.raises(TypeError):
+                from_edge_list(3, [bad])
+
 
 class TestGenerators:
     def test_cycle4(self):
