@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 graph exits 2 from transform, formula and verify; charpoly accepts it.
 gen exits 2, before building anything, when the graph's n + m would
 exceed graph.MAX_HEADER_ORDER (1000), the limit every edge-list header
-obeys.  An input file that cannot be read or parsed, or an output file
-that cannot be written, exits 2 with one "<cmd>: ..." stderr line.  When
+obeys.  An input file that cannot be read, decoded as UTF-8 or parsed, or
+an output file that cannot be written, exits 2 with one "<cmd>: ..."
+stderr line; corpus checks its --report path before the run.  When
 stdout's reader has gone (a pipe into head -n 1), the command ends quietly
 with exit 141, the shell's 128 + SIGPIPE.  Polynomial output is the
 ascending coefficient list in decimal, one line, so runs over the same
@@ -47,7 +48,11 @@ def _fail(code: int, message: str) -> int:
 
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text)
 
 
 def _load_regular(cmd: str, path: str):
@@ -126,6 +131,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.report:  # an unwritable path fails before the run; append leaves an old report whole
+        open(args.report, "a", encoding="utf-8").close()
     report = run_corpus(default_corpus())
     _emit(report_to_json(report), args.report)
     matched = sum(mt[0] for mt in report.per_case.values())

@@ -3,7 +3,9 @@
 The computational kernel: integer univariate and bivariate polynomials, characteristic
 polynomials and determinants of integer matrices (modulo one prime above Hadamard's
 bound), and products of a bivariate factor over the roots of a monic polynomial (one
-resultant over Z[x]).  No floating point; every result is exact by a proven bound.
+resultant over Z[x]).  A bivariate polynomial is stored as its coefficients in the
+second variable, univariate polynomials in the first: the layout the resultant in the
+second variable reads.  No floating point; every result is exact by a proven bound.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
@@ -38,7 +40,7 @@ class DegreeMismatch(ValueError):
 
 
 def _trim(cs: list) -> tuple:
-    while cs and not cs[-1]:  # a zero coefficient, or an empty row of a grid
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -172,7 +174,7 @@ class IntPoly:
 
     def pretty(self, var: str = "x") -> str:
         """Conventional display, highest power first: x^2 - 14*x + 40."""
-        return BiPoly([(c,) for c in self.coeffs]).pretty(var)
+        return _bipoly([self]).pretty(var)
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -211,54 +213,64 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
 
 
 class BiPoly:
-    """Bivariate integer polynomial; grid[i][j] is the coefficient of u^i v^j.
+    """Bivariate integer polynomial, stored by its coefficients in the second variable.
 
     The two variables are abstract; callers bind them to (lambda, q) for
     per-eigenvalue factors or to the two arguments of a matrix polynomial.
-    Rows are ragged and canonical: no row ends in a zero and the last row
-    is not empty, so equal polynomials have equal grids.  A coefficient that
-    is not an int raises TypeError.
+    The store holds the coefficients of v^0, v^1, ... as IntPoly in u, with no
+    trailing zero, so equal polynomials have equal stores and the resultant in
+    v reads it as it is.  grid[i][j] is the coefficient of u^i v^j, in ragged
+    canonical rows: no row ends in a zero and the last row is not empty.  A
+    coefficient that is not an int raises TypeError.
     """
 
-    __slots__ = ("grid",)
+    __slots__ = ("_cols",)
 
     def __init__(self, grid=()):
-        object.__setattr__(self, "grid", _bipoly([[index(c) for c in row] for row in grid]).grid)
+        rows = [[index(c) for c in row] for row in grid]
+        width = max(map(len, rows), default=0)
+        cols = [_intpoly([row[j] if j < len(row) else 0 for row in rows]) for j in range(width)]
+        object.__setattr__(self, "_cols", _bipoly(cols)._cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def constant(cls, c: int) -> BiPoly:
-        return cls(((c,),))
+        return _bipoly([IntPoly.constant(c)])
 
     @classmethod
     def u(cls) -> BiPoly:
         """The first variable."""
-        return cls(((0,), (1,)))
+        return _bipoly([_intpoly([0, 1])])
 
     @classmethod
     def v(cls) -> BiPoly:
         """The second variable."""
-        return cls(((0, 1),))
+        return _bipoly([_intpoly([]), _intpoly([1])])
+
+    @property
+    def grid(self) -> tuple:
+        cols = [c.coeffs for c in self._cols]
+        return tuple(_trim([c[i] if i < len(c) else 0 for c in cols]) for i in range(self.deg_u + 1))
 
     @property
     def is_zero(self) -> bool:
-        return not self.grid
+        return not self._cols
 
     @property
     def deg_u(self) -> int:
-        return len(self.grid) - 1
+        return max((c.degree for c in self._cols), default=-1)
 
     @property
     def deg_v(self) -> int:
-        return max((len(row) for row in self.grid), default=0) - 1
+        return len(self._cols) - 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.grid == other.grid
+        return isinstance(other, BiPoly) and self._cols == other._cols
 
     def __hash__(self):
-        return hash(self.grid)
+        return hash(self._cols)
 
     def __repr__(self):
         return f"BiPoly({[list(r) for r in self.grid]})"
@@ -274,19 +286,18 @@ class BiPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        h = max(len(self.grid), len(other.grid))
-        w = max(self.deg_v, other.deg_v) + 1
-        out = [[0] * w for _ in range(h)]
-        for grid in (self.grid, other.grid):
-            for i, row in enumerate(grid):
-                for j, c in enumerate(row):
-                    out[i][j] += c
+        a, b = self._cols, other._cols
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for j, c in enumerate(b):
+            out[j] = out[j] + c
         return _bipoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return _bipoly([[-c for c in row] for row in self.grid])
+        return _bipoly([-c for c in self._cols])
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -301,37 +312,26 @@ class BiPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        h = len(self.grid) + len(other.grid) - 1
-        w = self.deg_v + other.deg_v + 1
-        out = [[0] * w for _ in range(h)]
-        for i, ra in enumerate(self.grid):
-            for j, ca in enumerate(ra):
-                if ca:
-                    for k, rb in enumerate(other.grid):
-                        for l, cb in enumerate(rb):
-                            if cb:
-                                out[i + k][j + l] += ca * cb
+        a, b = self._cols, other._cols
+        out = [_intpoly([])] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca.is_zero:
+                for j, cb in enumerate(b):
+                    out[i + j] = out[i + j] + ca * cb
         return _bipoly(out)
 
     __rmul__ = __mul__
 
     def eval_u(self, x: int) -> IntPoly:
         """Substitute an integer for the first variable; polynomial in the second."""
-        out = [0] * (self.deg_v + 1)
-        p = 1
-        for row in self.grid:
-            for j, c in enumerate(row):
-                out[j] += c * p
-            p *= x
-        return _intpoly(out)
+        return _intpoly([c(x) for c in self._cols])
 
     def pretty(self, u: str = "x", v: str = "y") -> str:
         """Term-by-term display, u-major: x^2 - x*y + 3."""
         if self.is_zero:
             return "0"
         terms = []
-        for i in range(self.deg_u, -1, -1):
-            row = self.grid[i] if i < len(self.grid) else ()
+        for i, row in reversed(list(enumerate(self.grid))):
             for j in range(len(row) - 1, -1, -1):
                 c = row[j]
                 if c == 0:
@@ -354,7 +354,7 @@ class BiPoly:
         return " ".join(terms)
 
 
-_new, _set_coeffs, _set_grid = object.__new__, IntPoly.coeffs.__set__, BiPoly.grid.__set__
+_new, _set_coeffs, _set_cols = object.__new__, IntPoly.coeffs.__set__, BiPoly._cols.__set__
 
 
 def _intpoly(cs: list) -> IntPoly:
@@ -364,10 +364,12 @@ def _intpoly(cs: list) -> IntPoly:
     return p
 
 
-def _bipoly(rows: list) -> BiPoly:
-    """The same for a grid as a list of int lists; empty last rows are dropped too."""
+def _bipoly(cols: list) -> BiPoly:
+    """The same for a list of IntPoly, the coefficients in v; trailing zeros are dropped."""
+    while cols and cols[-1].is_zero:  # IntPoly has no truth value of its own
+        cols.pop()
     f = _new(BiPoly)
-    _set_grid(f, _trim([_trim(row) for row in rows]))
+    _set_cols(f, tuple(cols))
     return f
 
 
@@ -442,14 +444,6 @@ def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
 # ----------------------------------------------------------------------------
 
 
-def _columns(f: BiPoly) -> list:
-    """f's coefficients in its second variable, ascending, as IntPoly in the first."""
-    return [
-        _intpoly([row[j] if j < len(row) else 0 for row in f.grid])
-        for j in range(f.deg_v + 1)
-    ]
-
-
 def _unit_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return a * b.coeffs[0] if b.coeffs in ((1,), (-1,)) else exact_div(a, b)
 
@@ -467,7 +461,7 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     """
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
-    A, B = _columns(a), _columns(b)
+    A, B = a._cols, b._cols
     sign = -1 if len(A) < len(B) and (len(A) - 1) * (len(B) - 1) % 2 else 1
     if len(A) < len(B):
         A, B = B, A
@@ -512,4 +506,4 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
         raise ValueError("eig_product: p must be monic")
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
-    return resultant(_bipoly([list(p.coeffs)]), g)
+    return resultant(_bipoly([_intpoly([c]) for c in p.coeffs]), g)

@@ -5,8 +5,11 @@ prefactor of degree at most two in lam, a list of linear factors
 (lam - root)^exponent whose roots and exponents are integer expressions
 in (n, m, r), an optional per-eigenvalue factor g(lam, q) applied as a
 product over the reduced spectrum q_1..q_{n-1}, and optional composed
-copies f(a*lam + b) of the input polynomial.  One evaluator instantiates
-every record, so the 64 cases cannot drift from one another.
+copies f(a*lam + b) of the input polynomial.  One instantiation binds
+(n, m, r) in a record, and both the evaluator and the instantiated display
+read its result, so the 64 cases cannot drift from one another, nor the
+display from the polynomial.  The reduced spectrum is computed only for a
+case with a per-eigenvalue factor.
 
 Descriptors carry a status flag.  Entries marked "corrected" deviate
 from the published form of the catalog they transcribe (sign slips, a
@@ -390,23 +393,24 @@ def descriptor_for(case: XyzCase) -> FormulaDescriptor:
 # ----------------------------------------------------------------------------
 
 
-def _scalar(expr: Expr, env: dict) -> int:
-    value = expr.evaluate(env)
-    if not isinstance(value, int):
-        raise ValueError(f"expected an integer value, got {value!r}")
-    return value
+def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
+    """The descriptor with (n, m, r) bound: (sign, prefactor, linear, g, composed).
 
-
-def _unipoly(expr: Expr, env: dict) -> IntPoly:
-    value = expr.evaluate({**env, "lam": IntPoly.x()})
-    return value if isinstance(value, IntPoly) else IntPoly.constant(value)
-
-
-def _bipoly(expr: Expr, env: dict) -> BiPoly:
-    value = expr.evaluate({**env, "lam": BiPoly.u(), "q": BiPoly.v()})
-    if isinstance(value, int):
-        return BiPoly.constant(value)
-    return value
+    sign is +1 or -1, the prefactor an IntPoly in lam, linear the (root,
+    exponent) pairs and composed the (a, b) pairs as ints, and g the
+    per-eigenvalue factor as a BiPoly in (lam, q), or None.
+    """
+    env = {"n": n, "m": m, "r": r}
+    g = desc.eig_factor
+    if g is not None:  # zero + value: an int-valued expression becomes a constant polynomial
+        g = BiPoly.constant(0) + g.evaluate({**env, "lam": BiPoly.u(), "q": BiPoly.v()})
+    return (
+        -1 if desc.sign_exponent.evaluate(env) % 2 else 1,
+        IntPoly.zero() + desc.prefactor.evaluate({**env, "lam": IntPoly.x()}),
+        [(root.evaluate(env), e.evaluate(env)) for root, e in desc.linear_factors],
+        g,
+        [(a, b.evaluate(env)) for a, b in desc.composed_terms],
+    )
 
 
 def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly) -> IntPoly:
@@ -424,23 +428,21 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         raise ValueError(f"formula_charpoly: 2m = rn violated (n={n}, m={m}, r={r})")
     if not f.is_monic or f.degree != n:
         raise ValueError("formula_charpoly: f must be monic of degree n")
-    env = {"n": n, "m": m, "r": r}
-
-    reduced = reduced_qpoly(f, r)
-    sign = -1 if _scalar(desc.sign_exponent, env) % 2 else 1
-    num = IntPoly.constant(sign) * _unipoly(desc.prefactor, env)
+    if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
+        raise ValueError("formula_charpoly: f must have the root 2r")
+    sign, num, linear, g, composed = _instantiate(desc, n, m, r)
+    num = sign * num
     den = IntPoly.one()
-    for root, exponent in desc.linear_factors:
-        factor = IntPoly.linear_root(_scalar(root, env))
-        e = _scalar(exponent, env)
+    for root, e in linear:
+        factor = IntPoly.linear_root(root)
         if e >= 0:
             num = num * factor ** e
         else:
             den = den * factor ** (-e)
-    if desc.eig_factor is not None:
-        num = num * eig_product(reduced, _bipoly(desc.eig_factor, env))
-    for a, b in desc.composed_terms:
-        num = num * compose_linear(f, a, _scalar(b, env))
+    if g is not None:
+        num = num * eig_product(reduced_qpoly(f, r), g)
+    for a, b in composed:
+        num = num * compose_linear(f, a, b)
     result = exact_div(num, den)
     if result.degree != n + m:
         raise DegreeMismatch(
@@ -485,15 +487,13 @@ def render_formula(desc: FormulaDescriptor) -> str:
 
 def render_formula_instantiated(desc: FormulaDescriptor, n: int, m: int, r: int) -> str:
     """Factored display with (n, m, r) substituted, eigen factors left symbolic."""
-    env = {"n": n, "m": m, "r": r}
+    sign, pre, linear, g, composed = _instantiate(desc, n, m, r)
     parts = []
-    if _scalar(desc.sign_exponent, env) % 2:
+    if sign < 0:
         parts.append("-1")
-    pre = _unipoly(desc.prefactor, env)
     if pre != IntPoly.one():
         parts.append(f"[{pre.pretty('lam')}]")
-    for root, exponent in desc.linear_factors:
-        rv, ev = _scalar(root, env), _scalar(exponent, env)
+    for rv, ev in linear:
         if ev == 0:
             continue
         if rv == 0:
@@ -503,11 +503,9 @@ def render_formula_instantiated(desc: FormulaDescriptor, n: int, m: int, r: int)
         else:
             base = f"(lam + {-rv})"
         parts.append(base if ev == 1 else f"{base}^{ev}" if ev > 0 else f"{base}^({ev})")
-    if desc.eig_factor is not None:
-        g = _bipoly(desc.eig_factor, env)
+    if g is not None:
         parts.append(f"prod_i[{g.pretty('lam', 'q_i')}]")
-    for a, b in desc.composed_terms:
-        bv = _scalar(b, env)
+    for a, bv in composed:
         if a == 1:
             arg = "lam" if bv == 0 else (f"lam + {bv}" if bv > 0 else f"lam - {-bv}")
         else:

@@ -262,6 +262,40 @@ class TestCorpus:
         assert doc1["failures"] == []
         assert capsys.readouterr().err.strip().endswith("128/128 matched")
 
+    def test_unwritable_report_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_corpus", lambda *args: calls.append(args))
+        assert cli.main(["corpus", "--report", str(tmp_path / "missing" / "r.json")]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("corpus: ")
+        assert captured.err.count("\n") == 1
+
+    def test_report_check_keeps_an_old_report(self, tmp_path, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "run_corpus", boom)
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        with pytest.raises(RuntimeError):
+            cli.main(["corpus", "--report", str(out)])
+        assert out.read_text() == "old report\n"
+
+
+class TestUndecodableInput:
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "b.g"
+        path.write_bytes(b"\xff\xfe\x00x\n")
+        for argv in (["charpoly", str(path)], ["transform", str(path), "--case", "+++"],
+                     ["formula", str(path), "--case", "+++"], ["verify", str(path), "--all"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{argv[0]}: {path}: not UTF-8 text")
+            assert captured.err.count("\n") == 1
+
 
 class TestOutputFailures:
     """An unwritable output file exits 2; a closed stdout ends quietly."""

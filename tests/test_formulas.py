@@ -199,6 +199,13 @@ class TestFormulaCharpoly:
         with pytest.raises(ValueError):
             formula_charpoly(desc, 4, 4, 2, f)  # degree of f is not n
 
+    def test_f_without_the_root_2r_rejected(self):
+        # x^3 is monic of degree n but is no charpoly of a 2-regular graph;
+        # 000 has no eigen factor, so nothing else would divide by x - 4
+        for c in ("000", "+++"):
+            with pytest.raises(ValueError):
+                formula_charpoly(descriptor_for(case(c)), 3, 3, 2, IntPoly([0, 0, 0, 1]))
+
 
 class TestPublishedVariantsFail:
     """The corrected descriptors genuinely differ from their printed forms:

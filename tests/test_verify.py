@@ -3,15 +3,20 @@
 import json
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, compose_linear
 from xyzspectra import verify
 from xyzspectra.graph import (
     Graph,
+    circulant_graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     from_edge_list,
     petersen_graph,
+    regularity,
 )
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.transform import XyzCase
@@ -124,8 +129,9 @@ class TestRunCorpus:
         assert sorted(d for d in dims if d < 6) == [3, 4]
 
     def test_regimes_outside_default_corpus(self):
-        # r = 1 with m < n (K2, 3K2) and disconnected graphs (2C3, C3+C4,
-        # 2K4), where 2r is a repeated eigenvalue
+        # r = 1 with m < n (K2, 3K2), disconnected graphs (2C3, C3+C4,
+        # 2K4), where 2r is a repeated eigenvalue, and larger r (K7 with
+        # r = 6, K5,5 with N = 35, C10(1,2,3,4) with r = 8 and N = 50)
         k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         graphs = [
             ("K2", Graph(2, ((0, 1),))),
@@ -133,9 +139,12 @@ class TestRunCorpus:
             ("2C3", Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))),
             ("C3+C4", Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))),
             ("2K4", Graph(8, tuple(k4) + tuple((a + 4, b + 4) for a, b in k4))),
+            ("K7", complete_graph(7)),
+            ("K5,5", complete_bipartite_graph(5)),
+            ("C10(1,2,3,4)", circulant_graph(10, [1, 2, 3, 4])),
         ]
         rep = run_corpus(graphs)
-        assert len(rep.results) == 320
+        assert len(rep.results) == 512
         assert rep.failures == ()
 
 
@@ -220,3 +229,39 @@ class TestEigenLemma:
     def test_irregular_rejected(self):
         with pytest.raises(PreconditionViolated):
             check_eigen_lemma(from_edge_list(3, [(0, 1), (1, 2)]), self.x())
+
+
+@st.composite
+def regular_graphs(draw):
+    """A regular graph with N = n + m <= 30: a circulant on a random offset set,
+    the disjoint union of two circulants of one degree, or the Cartesian product
+    of two circulants.  A circulant on two vertices is K2."""
+    def circulant(k_max):
+        k = draw(st.integers(2, k_max))
+        if k == 2:
+            return Graph(2, ((0, 1),))
+        return circulant_graph(k, sorted(draw(st.sets(st.integers(1, k // 2), min_size=1))))
+
+    kind = draw(st.sampled_from(("circulant", "union", "product")))
+    if kind == "circulant":
+        g = circulant(15)
+    elif kind == "union":
+        a, b = circulant(8), circulant(8)
+        assume(regularity(a) == regularity(b))
+        g = Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+    else:  # (i, j) is vertex i * b.n + j; edges of a in each row, of b in each column
+        a, b = circulant(6), circulant(4)
+        g = Graph(a.n * b.n,
+                  tuple((u * b.n + j, v * b.n + j) for u, v in a.edges for j in range(b.n))
+                  + tuple((i * b.n + u, i * b.n + v) for i in range(a.n) for u, v in b.edges))
+    assume(g.n + g.m <= 30)
+    return g
+
+
+@seed(20130102)
+@settings(max_examples=20, deadline=None)
+@given(regular_graphs())
+def test_all_cases_match_on_random_regular_graphs(g):
+    rep = run_corpus([("g", g)])
+    assert len(rep.results) == 64
+    assert rep.failures == ()
