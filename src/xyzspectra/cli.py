@@ -5,13 +5,15 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 graph exits 2 from transform, formula and verify; charpoly accepts it.
 gen exits 2, before building anything, when the graph's n + m would
 exceed graph.MAX_HEADER_ORDER (1000), the limit every edge-list header
-obeys.  An input file that cannot be read, decoded as UTF-8 or parsed, or
-an output file that cannot be written, exits 2 with one "<cmd>: ..."
-stderr line; corpus checks its --report path before the run.  When
-stdout's reader has gone (a pipe into head -n 1), the command ends quietly
-with exit 141, the shell's 128 + SIGPIPE.  Polynomial output is the
-ascending coefficient list in decimal, one line, so runs over the same
-input are byte-identical.  Data goes to stdout, diagnostics to stderr.
+obeys.  verify exits 2, before any charpoly, when n + m exceeds
+MAX_VERIFY_ORDER (100); formula keeps only the header limit.  An input
+file that cannot be read, decoded as UTF-8 or parsed, or an output file
+that cannot be written, exits 2 with one "<cmd>: ..." stderr line; corpus
+checks its --report path before the run.  When stdout's reader has gone
+(a pipe into head -n 1), the command ends quietly with exit 141, the
+shell's 128 + SIGPIPE.  Polynomial output is the ascending coefficient
+list in decimal, one line, so runs over the same input are byte-identical.
+Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IRREGULAR = 3
 EXIT_FORMULA = 4
+
+# verify --all takes 64 oracle charpolys of order n + m: about 1 min in all for C50 (n + m = 100)
+# on a 2-core x86-64 host, 5 min for C75 (150), and the slowest case (-0-: 4 s, 14 s, 95 s at
+# N = 100, 150, 200) grows faster than N^3, so a header near 1000 would keep it busy for days.
+MAX_VERIFY_ORDER = 100
 
 _MATRICES = {"A": adjacency, "L": laplacian, "Q": signless_laplacian}
 
@@ -121,6 +128,8 @@ def cmd_verify(args) -> int:
     g, r = _load_regular("verify", args.input)
     if g is None:
         return r
+    if (order := g.n + g.m) > MAX_VERIFY_ORDER:
+        return _fail(EXIT_USAGE, f"verify: n + m = {order} exceeds the verify limit {MAX_VERIFY_ORDER}")
     cases = list_cases() if args.all else [XyzCase.parse(args.case)]
     report = run_corpus([(args.input, g)], cases)
     for res in report.results:

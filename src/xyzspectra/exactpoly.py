@@ -150,15 +150,15 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> IntPoly:
+        """Binary powering: floor(log2 k) + popcount(k) - 1 products for k >= 1, none wasted."""
         if k < 0:
             raise ValueError("pow: exponent must be >= 0")
-        out, base = IntPoly.one(), self
-        while k:
+        out, base = None, self
+        while k > 1:
             if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+                out = base if out is None else out * base
+            base, k = base * base, k >> 1
+        return out * base if out is not None else base if k else IntPoly.one()
 
     def __call__(self, x: int) -> int:
         y = 0
@@ -445,7 +445,8 @@ def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
 
 
 def _unit_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a * b.coeffs[0] if b.coeffs in ((1,), (-1,)) else exact_div(a, b)
+    """a / b exactly; b = +-1 returns a or -a itself, which is safe as IntPoly is immutable."""
+    return a if b.coeffs == (1,) else -a if b.coeffs == (-1,) else exact_div(a, b)
 
 
 def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
@@ -454,7 +455,7 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     The subresultant remainder sequence over Z[u] (Collins 1967, J. ACM 14;
     Cohen, A Course in Computational Algebraic Number Theory, Algorithm
     3.3.7): each pseudo-remainder of A by B is divided by g*h^(deg A - deg B),
-    which keeps coefficient growth polynomial (a unit divisor multiplies).  Every
+    which keeps coefficient growth polynomial (division by +-1 is free).  Every
     division is exact by the subresultant theorem; a remainder raises NotDivisible.
     The pseudo-remainder scales lazily: an entry takes its power of lc(B) when a
     step first writes it, not once per step, and h is updated only when read.
@@ -492,7 +493,8 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     d = len(A) - 1
     if d > 1 and delta:
         h = _unit_div(g ** delta, h ** (delta - 1))
-    return sign * _unit_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()
+    res = _unit_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()  # d = 0 has sign 1
+    return res if sign > 0 else -res
 
 
 def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:

@@ -431,7 +431,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
         raise ValueError("formula_charpoly: f must have the root 2r")
     sign, num, linear, g, composed = _instantiate(desc, n, m, r)
-    num = sign * num
+    num = num if sign > 0 else -num
     den = IntPoly.one()
     for root, e in linear:
         factor = IntPoly.linear_root(root)
@@ -443,7 +443,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         num = num * eig_product(reduced_qpoly(f, r), g)
     for a, b in composed:
         num = num * compose_linear(f, a, b)
-    result = exact_div(num, den)
+    result = exact_div(num, den) if den.degree > 0 else num
     if result.degree != n + m:
         raise DegreeMismatch(
             f"case {desc.case}: got degree {result.degree}, expected {n + m}"

@@ -85,7 +85,7 @@ def xyz_transform(g: Graph, case: XyzCase) -> Graph:
         raise EmptyEdgeSet("transformation of an edgeless graph")
     n = g.n
     vpart = part_graph(g, case.x).edges
-    epart = part_graph(line_graph(g), case.y).edges
+    epart = part_graph(line_graph(g) if case.y in "+-" else Graph(g.m, ()), case.y).edges
     cross = cross_edges(g, case.z)
     edges = list(vpart)
     edges.extend((n + a, n + b) for a, b in epart)

@@ -229,6 +229,28 @@ class TestVerify:
         # one base charpoly (K3, 3 rows) and one oracle per case (6 rows)
         assert sorted(dims) == [3] + [6] * 64
 
+    def test_order_limit(self, k3_file, monkeypatch, capsys):
+        # K3 has n + m = 6: refused before run_corpus (so before any charpoly) at limit 5
+        def refuse(graphs, cases=None):
+            raise AssertionError("run_corpus called above the verify limit")
+
+        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 5)
+        monkeypatch.setattr(cli, "run_corpus", refuse)
+        for selector in (["--all"], ["--case", "+++"]):
+            assert cli.main(["verify", k3_file, *selector]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "verify: n + m = 6 exceeds the verify limit 5\n"
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 6)
+        assert cli.main(["verify", k3_file, "--all"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 64
+
+    def test_formula_keeps_only_the_header_limit(self, k3_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 5)
+        assert cli.main(["formula", k3_file, "--case", "+++"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_mismatch_exits_1(self, k3_file, monkeypatch, capsys):
         from xyzspectra.exactpoly import IntPoly
         from xyzspectra.verify import CorpusReport, VerificationResult

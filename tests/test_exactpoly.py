@@ -205,6 +205,27 @@ class TestArithmetic:
     def test_pow_binomial(self):
         assert poly(-2, 1) ** 3 == poly(-8, 12, -6, 1)
 
+    def test_pow_is_repeated_product_in_minimal_products(self, monkeypatch):
+        # k = 0, 1 and the powers of two are the loop's exit boundaries; for k >= 1 binary
+        # powering needs floor(log2 k) squarings and popcount(k) - 1 products into the result
+        rng = random.Random(37)
+        cases = []
+        for k in range(41):
+            p = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+            cases.append((p, k, prod([p] * k, start=IntPoly.one())))
+        calls, plain_mul = [], IntPoly.__mul__
+
+        def counting(a, b):
+            calls.append((a, b))
+            return plain_mul(a, b)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting)
+        for p, k, expected in cases:
+            calls.clear()
+            assert p ** k == expected
+            if k:
+                assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+
     def test_mul_and_eval(self):
         p = poly(1, 2) * poly(3, 4)
         assert p == poly(3, 10, 8)

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from xyzspectra import formulas
 from xyzspectra.exactpoly import BiPoly, DegreeMismatch, IntPoly, charpoly
 from xyzspectra.formulas import (
     Expr,
@@ -198,6 +199,25 @@ class TestFormulaCharpoly:
             formula_charpoly(desc, 3, 4, 2, f)  # 2m != rn
         with pytest.raises(ValueError):
             formula_charpoly(desc, 4, 4, 2, f)  # degree of f is not n
+
+    def test_divides_only_by_a_nonconstant_denominator(self, monkeypatch):
+        # on C5 (n = m = 5, r = 2) only the cases with a negative exponent have a
+        # denominator; the other 57 skip the division by 1
+        g = cycle_graph(5)
+        env = {"n": 5, "m": 5, "r": 2}
+        negative = {str(c) for c in list_cases()
+                    if any(e.evaluate(env) < 0 for _, e in descriptor_for(c).linear_factors)}
+        assert len(negative) == 7
+        divided, plain_div = [], formulas.exact_div
+
+        def counting(num, den):
+            divided.append(current)
+            return plain_div(num, den)
+
+        monkeypatch.setattr(formulas, "exact_div", counting)
+        for current in map(str, list_cases()):
+            assert run_formula(g, current) == fpoly(xyz_transform(g, case(current)))
+        assert sorted(divided) == sorted(negative)
 
     def test_f_without_the_root_2r_rejected(self):
         # x^3 is monic of degree n but is no charpoly of a 2-regular graph;

@@ -1,7 +1,10 @@
 """Construction of the 64 vertex-edge transformations."""
 
+import hashlib
+
 import pytest
 
+from xyzspectra import transform
 from xyzspectra.graph import (
     EmptyEdgeSet,
     Graph,
@@ -9,11 +12,17 @@ from xyzspectra.graph import (
     complement,
     complete_graph,
     cycle_graph,
+    format_edge_list,
     from_edge_list,
+    line_graph,
+    petersen_graph,
 )
 from xyzspectra.formulas import list_cases
 from xyzspectra.transform import XyzCase, cross_edges, part_graph, xyz_transform
-from xyzspectra.verify import default_corpus
+from xyzspectra.verify import default_corpus, run_corpus
+
+# SHA-256 of the edge lists of all 64 transforms of K4, the Petersen graph and C5, in that order
+TRANSFORMS_SHA256 = "8015df7d2c653c8f8f91ec4d1562432100cd944a0220ef02a604a91b1221dc42"
 
 
 def case(s):
@@ -128,6 +137,24 @@ class TestTransform:
     def test_edgeless_input_rejected(self):
         with pytest.raises(EmptyEdgeSet):
             xyz_transform(Graph(3, ()), case("+++"))
+
+    def test_edge_lists_pinned(self):
+        blob = "".join(format_edge_list(xyz_transform(g, c))
+                       for g in (complete_graph(4), petersen_graph(), cycle_graph(5))
+                       for c in list_cases())
+        assert hashlib.sha256(blob.encode()).hexdigest() == TRANSFORMS_SHA256
+
+    def test_line_graph_only_for_y_plus_or_minus(self, monkeypatch):
+        # y = 0 and y = 1 read only m, so 32 of the 64 cases build the line graph
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return line_graph(g)
+
+        monkeypatch.setattr(transform, "line_graph", counting)
+        assert run_corpus([("K4", complete_graph(4))]).all_match
+        assert len(calls) == 32
 
     def test_irregular_input_accepted(self):
         # construction does not require regularity
