@@ -5,11 +5,12 @@ prefactor of degree at most two in lam, a list of linear factors
 (lam - root)^exponent whose roots and exponents are integer expressions
 in (n, m, r), an optional per-eigenvalue factor g(lam, q) applied as a
 product over the reduced spectrum q_1..q_{n-1}, and optional composed
-copies f(a*lam + b) of the input polynomial.  One instantiation binds
-(n, m, r) in a record, and both the evaluator and the instantiated display
-read its result, so the 64 cases cannot drift from one another, nor the
-display from the polynomial.  The reduced spectrum is computed only for a
-case with a per-eigenvalue factor.
+copies f(a*lam + b) of the input polynomial.  Each expression is held as
+the Python source the audit export prints, and evaluation runs that
+source, so every check of a polynomial also checks its printed formula.
+One instantiation binds (n, m, r) in a record, and both the evaluator and
+the instantiated display read its result.  The reduced spectrum is
+computed only for a case with a per-eigenvalue factor.
 
 Descriptors carry a status flag.  Entries marked "corrected" deviate
 from the published form of the catalog they transcribe (sign slips, a
@@ -20,6 +21,8 @@ the brute-force construction over the whole verification corpus.
 
 from __future__ import annotations
 
+import keyword
+import re
 from dataclasses import dataclass
 
 from .exactpoly import (
@@ -45,97 +48,82 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class Expr:
-    """Integer expression tree over named variables with +, - and *."""
+    """Integer expression over named variables with +, - and *, held as the
+    Python source it prints: ``text`` is what ``str`` shows and the code that
+    ``evaluate`` runs.  Its grammar is ints, identifiers, ``+ - *``, parentheses
+    and spaces, so run with no builtins it can only look names up and do arithmetic.
+    """
 
-    __slots__ = ("op", "args")
-
-    def __init__(self, op: str, args: tuple):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr is immutable")
+    text: str
+    strength: int  # how tightly text binds (_SUM, _PRODUCT, _ATOM): where operators parenthesise
+    _code = None  # compiled on the first evaluate
 
     @staticmethod
     def lift(value) -> Expr:
         if isinstance(value, Expr):
             return value
         if isinstance(value, int):
-            return Expr("int", (value,))
+            return Expr(str(value), _SUM if value < 0 else _ATOM)
         raise TypeError(f"cannot lift {value!r}")
 
     @staticmethod
     def var(name: str) -> Expr:
-        return Expr("var", (name,))
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise ValueError(f"not a variable name: {name!r}")
+        return Expr(name, _ATOM)
 
     def __add__(self, other):
-        return Expr("add", (self, Expr.lift(other)))
+        return _binary(self, " + ", other, _SUM)
 
     def __radd__(self, other):
-        return Expr("add", (Expr.lift(other), self))
+        return _binary(other, " + ", self, _SUM)
 
     def __sub__(self, other):
-        return Expr("sub", (self, Expr.lift(other)))
+        return _binary(self, " - ", other, _SUM)
 
     def __rsub__(self, other):
-        return Expr("sub", (Expr.lift(other), self))
+        return _binary(other, " - ", self, _SUM)
 
     def __mul__(self, other):
-        return Expr("mul", (self, Expr.lift(other)))
+        return _binary(self, "*", other, _PRODUCT)
 
     def __rmul__(self, other):
-        return Expr("mul", (Expr.lift(other), self))
+        return _binary(other, "*", self, _PRODUCT)
 
     def __neg__(self):
-        return Expr("sub", (Expr.lift(0), self))
+        return _binary(0, " - ", self, _SUM)
 
     def evaluate(self, env: dict):
-        """Evaluate with variables bound to ints (or polynomial generators)."""
-        op = self.op
-        if op == "int":
-            return self.args[0]
-        if op == "var":
-            name = self.args[0]
-            if name not in env:
-                raise ValueError(f"unbound variable {name!r}")
-            return env[name]
-        a = self.args[0].evaluate(env)
-        b = self.args[1].evaluate(env)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        raise AssertionError(f"unknown op {op!r}")
+        """Run the text with its names bound by env to ints (or polynomial generators)."""
+        if self._code is None:
+            object.__setattr__(self, "_code", compile(self.text, "<Expr>", "eval"))
+        try:
+            return eval(self._code, _NO_BUILTINS, env)
+        except NameError as exc:
+            raise ValueError(f"unbound variable {exc.name!r}") from None
 
     def is_literal(self, value: int) -> bool:
-        return self.op == "int" and self.args[0] == value
-
-    def _fmt(self, prec: int) -> str:
-        op = self.op
-        if op == "int":
-            v = self.args[0]
-            return f"({v})" if v < 0 and prec > 10 else str(v)
-        if op == "var":
-            return self.args[0]
-        if op == "add":
-            s = f"{self.args[0]._fmt(10)} + {self.args[1]._fmt(11)}"
-            return f"({s})" if prec > 10 else s
-        if op == "sub":
-            s = f"{self.args[0]._fmt(10)} - {self.args[1]._fmt(11)}"
-            return f"({s})" if prec > 10 else s
-        if op == "mul":
-            s = f"{self.args[0]._fmt(20)}*{self.args[1]._fmt(21)}"
-            return f"({s})" if prec > 20 else s
-        raise AssertionError(f"unknown op {op!r}")
+        return self.text == str(value)
 
     def __str__(self) -> str:
-        return self._fmt(0)
+        return self.text
 
     def __repr__(self) -> str:
-        return f"Expr<{self}>"
+        return f"Expr<{self.text}>"
+
+
+_SUM, _PRODUCT, _ATOM = 10, 20, 30  # a negative literal binds as a sum
+_NO_BUILTINS = {"__builtins__": {}}
+
+
+def _binary(left, op: str, right, strength: int) -> Expr:
+    """left op right, for a left-associative op: a right operand as weak as op is parenthesised."""
+    left, right = Expr.lift(left), Expr.lift(right)
+    a = left.text if left.strength >= strength else f"({left.text})"
+    b = right.text if right.strength > strength else f"({right.text})"
+    return Expr(f"{a}{op}{b}", strength)
 
 
 @dataclass(frozen=True)
@@ -434,11 +422,10 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     num = num if sign > 0 else -num
     den = IntPoly.one()
     for root, e in linear:
-        factor = IntPoly.linear_root(root)
-        if e >= 0:
-            num = num * factor ** e
-        else:
-            den = den * factor ** (-e)
+        if e > 0:
+            num = num * IntPoly.linear_root(root) ** e
+        elif e < 0:
+            den = den * IntPoly.linear_root(root) ** -e
     if g is not None:
         num = num * eig_product(reduced_qpoly(f, r), g)
     for a, b in composed:
@@ -465,22 +452,15 @@ def render_formula(desc: FormulaDescriptor) -> str:
         parts.append("-1" if se.is_literal(1) else f"(-1)^({se})")
     if not desc.prefactor.is_literal(1):
         parts.append(f"[{desc.prefactor}]")
-    for root, exponent in desc.linear_factors:
-        root_s = str(root)
+    for root, exponent in desc.linear_factors:  # a name or a literal, negative too, is an atom
         base = "lam" if root.is_literal(0) else (
-            f"(lam - {root_s})" if root.op in ("int", "var") else f"(lam - ({root_s}))"
+            f"(lam - {root})" if re.fullmatch(r"-?\w+", root.text) else f"(lam - ({root}))"
         )
-        if exponent.is_literal(1):
-            parts.append(base)
-        else:
-            parts.append(f"{base}^({exponent})")
+        parts.append(base if exponent.is_literal(1) else f"{base}^({exponent})")
     if desc.eig_factor is not None:
         parts.append(f"prod_i[{desc.eig_factor}]")
     for a, b in desc.composed_terms:
-        if a == 1 and b.is_literal(0):
-            arg = lam
-        else:
-            arg = (lam + b) if a == 1 else (b - lam)
+        arg = lam if a == 1 and b.is_literal(0) else (lam + b) if a == 1 else (b - lam)
         parts.append(f"f({arg})")
     return " * ".join(parts) if parts else "1"
 

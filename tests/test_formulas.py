@@ -7,9 +7,13 @@ constructed transformation for the rest.
 
 import hashlib
 import json
+import operator
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from xyzspectra import formulas
 from xyzspectra.exactpoly import BiPoly, DegreeMismatch, IntPoly, charpoly
@@ -219,12 +223,94 @@ class TestFormulaCharpoly:
             assert run_formula(g, current) == fpoly(xyz_transform(g, case(current)))
         assert sorted(divided) == sorted(negative)
 
+    def test_skips_zero_exponent_factors(self, monkeypatch):
+        # on C5 (n = m = 5, r = 2) 48 linear factors over the 64 cases have exponent 0,
+        # each a product by (lam - root)**0 = 1; only formula_charpoly's own powers are
+        # counted, as resultant's h**0 at d = 1 makes no product
+        g = cycle_graph(5)
+        env = {"n": 5, "m": 5, "r": 2}
+        zero = [e for c in list_cases() for _, e in descriptor_for(c).linear_factors
+                if e.evaluate(env) == 0]
+        assert len(zero) == 48
+        zero_powers, plain_pow = [], IntPoly.__pow__
+
+        def counting(self, k):
+            if k == 0 and sys._getframe(1).f_code is formulas.formula_charpoly.__code__:
+                zero_powers.append(current)
+            return plain_pow(self, k)
+
+        monkeypatch.setattr(IntPoly, "__pow__", counting)
+        for current in map(str, list_cases()):
+            assert run_formula(g, current) == fpoly(xyz_transform(g, case(current)))
+        assert zero_powers == []
+
     def test_f_without_the_root_2r_rejected(self):
         # x^3 is monic of degree n but is no charpoly of a 2-regular graph;
         # 000 has no eigen factor, so nothing else would divide by x - 4
         for c in ("000", "+++"):
             with pytest.raises(ValueError):
                 formula_charpoly(descriptor_for(case(c)), 3, 3, 2, IntPoly([0, 0, 0, 1]))
+
+
+NAMES = ("n", "m", "r", "lam", "q")
+
+
+@st.composite
+def exprs_in_step(draw):
+    """(an Expr, int bindings for NAMES, its value on them, its value with lam = x).
+
+    The tree is built by the operators a descriptor uses, and each value by the
+    same operator on the operands' values, so the two never share an evaluator.
+    """
+    ints = {name: draw(st.integers(-9, 9)) for name in NAMES}
+    polys = {**ints, "lam": IntPoly.x()}
+
+    def plain_int():
+        v = draw(st.integers(-20, 20))
+        return v, v, v  # an int operand, lifted by the Expr operator
+
+    def build(depth):
+        kind = draw(st.sampled_from(("int", "var", "neg", "+", "-", "*")[:6 if depth else 2]))
+        if kind == "int":
+            v = draw(st.integers(-20, 20))
+            return Expr.lift(v), v, v
+        if kind == "var":
+            name = draw(st.sampled_from(NAMES))
+            return Expr.var(name), ints[name], polys[name]
+        if kind == "neg":
+            e, v, p = build(depth - 1)
+            return -e, -v, -p
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul}[kind]
+        plain = draw(st.sampled_from(("neither", "left", "right")))
+        left = plain_int() if plain == "left" else build(depth - 1)
+        right = plain_int() if plain == "right" else build(depth - 1)
+        return tuple(op(a, b) for a, b in zip(left, right))
+
+    e, v, p = build(4)
+    return e, ints, v, p
+
+
+class TestExpr:
+    @seed(20130101)
+    @settings(max_examples=300, deadline=None)
+    @given(exprs_in_step())
+    def test_evaluation_runs_the_rendering(self, drawn):
+        expr, ints, value, poly_value = drawn
+        assert expr.evaluate(ints) == value
+        assert expr.evaluate({**ints, "lam": IntPoly.x()}) == poly_value
+
+    def test_var_takes_only_plain_names(self):
+        for bad in ("a.b", "f(x)", "lambda", "", "2n", "n m", "n+1"):
+            with pytest.raises(ValueError):
+                Expr.var(bad)
+
+    def test_unbound_name_is_named(self):
+        with pytest.raises(ValueError, match="'x'"):
+            Expr.var("x").evaluate({"n": 1})
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Expr.var("n").text = "m"
 
 
 class TestPublishedVariantsFail:
@@ -273,7 +359,7 @@ class TestPublishedVariantsFail:
         linear = tuple(
             (root, exponent)
             for root, exponent in desc.linear_factors
-            if not (root.op == "sub" and str(root) == "2*r - 4")
+            if str(root) != "2*r - 4"
         )
         assert len(linear) == len(desc.linear_factors) - 1
         printed = replace(desc, linear_factors=linear)
@@ -286,6 +372,14 @@ class TestRendering:
         text = render_formula(descriptor_for(case("+++")))
         assert "prod_i" in text
         assert "lam - 3*r + 2" in text
+
+    def test_atom_roots_unparenthesised(self):
+        # a name and a negative literal are atoms; any compound root is parenthesised
+        n = Expr.var("n")
+        desc = replace(descriptor_for(case("111")), prefactor=Expr.lift(1),
+                       linear_factors=((Expr.lift(-3), Expr.lift(1)), (n, Expr.lift(1)),
+                                       (n - 2, Expr.lift(1)), (2 * n, Expr.lift(1))))
+        assert render_formula(desc) == "(lam - -3) * (lam - n) * (lam - (n - 2)) * (lam - (2*n))"
 
     def test_instantiated_k3_111(self):
         text = render_formula_instantiated(descriptor_for(case("111")), 3, 3, 2)
