@@ -299,6 +299,11 @@ class TestExpr:
         assert expr.evaluate(ints) == value
         assert expr.evaluate({**ints, "lam": IntPoly.x()}) == poly_value
 
+    def test_negative_literal_binds_as_a_sum(self):
+        n = Expr.var("n")
+        assert [str(e) for e in (-3 + n, n - -3, -3 * n, n * -3, 2 * (n - 1), -n)] == [
+            "-3 + n", "n - (-3)", "(-3)*n", "n*(-3)", "2*(n - 1)", "0 - n"]
+
     def test_var_takes_only_plain_names(self):
         for bad in ("a.b", "f(x)", "lambda", "", "2n", "n m", "n+1"):
             with pytest.raises(ValueError):
