@@ -18,7 +18,6 @@ from .exactpoly import (
     resultant,
 )
 from .formulas import (
-    Expr,
     FormulaDescriptor,
     descriptor_for,
     descriptor_records,

@@ -493,7 +493,8 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     d = len(A) - 1
     if d > 1 and delta:
         h = _unit_div(g ** delta, h ** (delta - 1))
-    res = _unit_div(B[0] ** d, h ** (d - 1)) if d else IntPoly.one()  # d = 0 has sign 1
+    # at d = 1 the division is by h^0 = 1, so B[0] is the resultant; d = 0 has sign 1
+    res = _unit_div(B[0] ** d, h ** (d - 1)) if d > 1 else B[0] if d else IntPoly.one()
     return res if sign > 0 else -res
 
 

@@ -5,9 +5,12 @@ prefactor of degree at most two in lam, a list of linear factors
 (lam - root)^exponent whose roots and exponents are integer expressions
 in (n, m, r), an optional per-eigenvalue factor g(lam, q) applied as a
 product over the reduced spectrum q_1..q_{n-1}, and optional composed
-copies f(a*lam + b) of the input polynomial.  Each expression is held as
-the Python source the audit export prints, and evaluation runs that
-source, so every check of a polynomial also checks its printed formula.
+copies f(a*lam + b) of the input polynomial.  Each expression is written
+in the table as the text the audit export prints, over ints, the names
+n, m, r, lam and q, + - * and parentheses; building the table refuses
+any other token.  Evaluation compiles that text once and runs it with
+no builtins bound, so every check of a polynomial also checks its
+printed formula.
 One instantiation binds (n, m, r) in a record, and both the evaluator and
 the instantiated display read its result.  The reduced spectrum is
 computed only for a case with a per-eigenvalue factor.
@@ -21,7 +24,7 @@ the brute-force construction over the whole verification corpus.
 
 from __future__ import annotations
 
-import keyword
+import functools
 import re
 from dataclasses import dataclass
 
@@ -37,7 +40,6 @@ from .exactpoly import (
 from .transform import SYMBOLS, XyzCase
 
 __all__ = [
-    "Expr",
     "FormulaDescriptor",
     "list_cases",
     "descriptor_for",
@@ -48,82 +50,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Expr:
-    """Integer expression over named variables with +, - and *, held as the
-    Python source it prints: ``text`` is what ``str`` shows and the code that
-    ``evaluate`` runs.  Its grammar is ints, identifiers, ``+ - *``, parentheses
-    and spaces, so run with no builtins it can only look names up and do arithmetic.
-    """
-
-    text: str
-    strength: int  # how tightly text binds (_SUM, _PRODUCT, _ATOM): where operators parenthesise
-    _code = None  # compiled on the first evaluate
-
-    @staticmethod
-    def lift(value) -> Expr:
-        if isinstance(value, Expr):
-            return value
-        if isinstance(value, int):
-            return Expr(str(value), _SUM if value < 0 else _ATOM)
-        raise TypeError(f"cannot lift {value!r}")
-
-    @staticmethod
-    def var(name: str) -> Expr:
-        if not name.isidentifier() or keyword.iskeyword(name):
-            raise ValueError(f"not a variable name: {name!r}")
-        return Expr(name, _ATOM)
-
-    def __add__(self, other):
-        return _binary(self, " + ", other, _SUM)
-
-    def __radd__(self, other):
-        return _binary(other, " + ", self, _SUM)
-
-    def __sub__(self, other):
-        return _binary(self, " - ", other, _SUM)
-
-    def __rsub__(self, other):
-        return _binary(other, " - ", self, _SUM)
-
-    def __mul__(self, other):
-        return _binary(self, "*", other, _PRODUCT)
-
-    def __rmul__(self, other):
-        return _binary(other, "*", self, _PRODUCT)
-
-    def __neg__(self):
-        return _binary(0, " - ", self, _SUM)
-
-    def evaluate(self, env: dict):
-        """Run the text with its names bound by env to ints (or polynomial generators)."""
-        if self._code is None:
-            object.__setattr__(self, "_code", compile(self.text, "<Expr>", "eval"))
-        try:
-            return eval(self._code, _NO_BUILTINS, env)
-        except NameError as exc:
-            raise ValueError(f"unbound variable {exc.name!r}") from None
-
-    def is_literal(self, value: int) -> bool:
-        return self.text == str(value)
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __repr__(self) -> str:
-        return f"Expr<{self.text}>"
-
-
-_SUM, _PRODUCT, _ATOM = 10, 20, 30  # a negative literal binds as a sum
+_NAMES = frozenset(("n", "m", "r", "lam", "q"))
 _NO_BUILTINS = {"__builtins__": {}}
 
 
-def _binary(left, op: str, right, strength: int) -> Expr:
-    """left op right, for a left-associative op: a right operand as weak as op is parenthesised."""
-    left, right = Expr.lift(left), Expr.lift(right)
-    a = left.text if left.strength >= strength else f"({left.text})"
-    b = right.text if right.strength > strength else f"({right.text})"
-    return Expr(f"{a}{op}{b}", strength)
+def _checked(text: str) -> str:
+    """text, if its tokens are the table's: ints, the names in _NAMES, + - *, parentheses, spaces.
+
+    With no builtins bound such a text can only look names up and do arithmetic;
+    a misplaced token is left to compile to report.
+    """
+    if (not re.fullmatch(r"[0-9a-z_ +*()-]+", text) or "**" in text
+            or not all(w.isdigit() or w in _NAMES for w in re.findall(r"\w+", text))):
+        raise ValueError(f"not a descriptor expression: {text!r}")
+    return text
+
+
+@functools.cache
+def _code(text: str):
+    return compile(text, "<descriptor>", "eval")
+
+
+def _evaluate(text: str, env: dict):
+    """Run a descriptor text with its names bound by env to ints (or polynomial generators)."""
+    try:
+        return eval(_code(text), _NO_BUILTINS, env)
+    except NameError as exc:
+        raise ValueError(f"unbound variable {exc.name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -131,11 +84,11 @@ class FormulaDescriptor:
     """One closed-form case: sign * prefactor * linear factors * eigen product * composed terms."""
 
     case: XyzCase
-    sign_exponent: Expr                              # overall sign (-1)**value
-    prefactor: Expr                                  # polynomial in lam, degree <= 2
-    linear_factors: tuple[tuple[Expr, Expr], ...]    # (root, exponent) -> (lam - root)^exponent
-    eig_factor: Expr | None                          # g(lam, q), product over q_1..q_{n-1}
-    composed_terms: tuple[tuple[int, Expr], ...]     # (a, b) -> factor f(a*lam + b)
+    sign_exponent: str                               # overall sign (-1)**value
+    prefactor: str                                   # polynomial in lam, degree <= 2
+    linear_factors: tuple[tuple[str, str], ...]      # (root, exponent) -> (lam - root)^exponent
+    eig_factor: str | None                           # g(lam, q), product over q_1..q_{n-1}
+    composed_terms: tuple[tuple[int, str], ...]      # (a, b) -> factor f(a*lam + b)
     status: str = "as-published"                     # or "corrected"
     published_form: str = ""                         # original display when corrected
 
@@ -146,22 +99,18 @@ def list_cases() -> list[XyzCase]:
 
 
 def _build_table() -> dict[XyzCase, FormulaDescriptor]:
-    n, m, r = Expr.var("n"), Expr.var("m"), Expr.var("r")
-    lam, q = Expr.var("lam"), Expr.var("q")
-    zero, one = Expr.lift(0), Expr.lift(1)
-
     table: dict[XyzCase, FormulaDescriptor] = {}
 
-    def add(case, prefactor=one, linear=(), eig=None, composed=(), sign=zero,
+    def add(case, prefactor="1", linear=(), eig=None, composed=(), sign="0",
             status="as-published", published=""):
         key = XyzCase.parse(case)
         table[key] = FormulaDescriptor(
             case=key,
-            sign_exponent=Expr.lift(sign),
-            prefactor=Expr.lift(prefactor),
-            linear_factors=tuple((Expr.lift(a), Expr.lift(b)) for a, b in linear),
-            eig_factor=eig,
-            composed_terms=tuple((a, Expr.lift(b)) for a, b in composed),
+            sign_exponent=_checked(sign),
+            prefactor=_checked(prefactor),
+            linear_factors=tuple((_checked(a), _checked(b)) for a, b in linear),
+            eig_factor=eig if eig is None else _checked(eig),
+            composed_terms=tuple((a, _checked(b)) for a, b in composed),
             status=status,
             published_form=published,
         )
@@ -179,17 +128,17 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
     # f(lam-2r+4) and the - part through the complement identity.
     # ------------------------------------------------------------------
     x_parts = {
-        "0": (zero, ((zero, n),), ()),
-        "1": (zero, ((2 * n - 2, one), (n - 2, n - 1)), ()),
-        "+": (zero, (), ((1, zero),)),
-        "-": (n, ((n - 2 - 2 * r, Expr.lift(-1)), (2 * n - 2 - 2 * r, one)), ((-1, n - 2),)),
+        "0": ("0", (("0", "n"),), ()),
+        "1": ("0", (("2*n - 2", "1"), ("n - 2", "n - 1")), ()),
+        "+": ("0", (), ((1, "0"),)),
+        "-": ("n", (("n - 2 - 2*r", "-1"), ("2*n - 2 - 2*r", "1")), ((-1, "n - 2"),)),
     }
     y_parts = {
-        "0": (zero, ((zero, m),), ()),
-        "1": (zero, ((2 * m - 2, one), (m - 2, m - 1)), ()),
-        "+": (zero, ((2 * r - 4, m - n),), ((1, 4 - 2 * r),)),
-        "-": (n, ((m - 4 * r + 2, Expr.lift(-1)), (2 * m - 4 * r + 2, one), (m + 2 - 2 * r, m - n)),
-              ((-1, m - 2 * r + 2),)),
+        "0": ("0", (("0", "m"),), ()),
+        "1": ("0", (("2*m - 2", "1"), ("m - 2", "m - 1")), ()),
+        "+": ("0", (("2*r - 4", "m - n"),), ((1, "4 - 2*r"),)),
+        "-": ("n", (("m - 4*r + 2", "-1"), ("2*m - 4*r + 2", "1"), ("m + 2 - 2*r", "m - n")),
+              ((-1, "m - 2*r + 2"),)),
     }
     z0_notes = {
         "0+0": "lam^n * (lam - 2r + 4)^(m-n) * f(lam - 2r + 4, G^x)"
@@ -220,12 +169,12 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
             case = f"{xs}{ys}0"
             sx, lx, cx = x_parts[xs]
             sy, ly, cy = y_parts[ys]
-            if sx.is_literal(0):
+            if sx == "0":
                 sign = sy
-            elif sy.is_literal(0):
+            elif sy == "0":
                 sign = sx
             else:
-                sign = sx + sy
+                sign = f"{sx} + {sy}"
             note = z0_notes.get(case, "")
             add(
                 case,
@@ -241,128 +190,128 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
     # edge blocks decouple on the reduced spectrum, so the per-eigenvalue
     # factor is a product of one or two linear terms in lam.
     # ------------------------------------------------------------------
-    add("001", prefactor=lam * (lam - m - n),
-        linear=[(m, n - 1), (n, m - 1)])
-    add("101", prefactor=(lam - n) * (lam - m - 2 * n + 2) - m * n,
-        linear=[(m + n - 2, n - 1), (n, m - 1)])
-    add("+01", prefactor=(lam - n) * (lam - 2 * r - m) - m * n,
-        linear=[(n, m - 1)], eig=lam - m - q)
-    add("-01", prefactor=(lam - n) * (lam - 2 * n - m + 2 * r + 2) - m * n,
-        linear=[(n, m - 1)], eig=lam - n - m + 2 + q)
-    add("011", prefactor=(lam - m) * (lam - 2 * m - n + 2) - m * n,
-        linear=[(m, n - 1), (m + n - 2, m - 1)])
-    add("111", prefactor=lam - 2 * n - 2 * m + 2,
-        linear=[(m + n - 2, m + n - 1)])
-    add("+11", prefactor=(lam - m - 2 * r) * (lam - 2 * m - n + 2) - m * n,
-        linear=[(m + n - 2, m - 1)], eig=lam - m - q)
-    add("-11", prefactor=(lam - 2 * m - n + 2) * (lam - m - 2 * n + 2 * r + 2) - m * n,
-        linear=[(m + n - 2, m - 1)], eig=lam - m - n + 2 + q)
-    add("0+1", prefactor=(lam - m) * (lam - n - 4 * r + 4) - m * n,
-        linear=[(n + 2 * r - 4, m - n), (m, n - 1)], eig=lam - n - 2 * r + 4 - q)
-    add("1+1", prefactor=(lam - 2 * n - m + 2) * (lam - n - 4 * r + 4) - m * n,
-        linear=[(n + 2 * r - 4, m - n), (m + n - 2, n - 1)], eig=lam - n - 2 * r + 4 - q)
-    add("++1", prefactor=(lam - 2 * r - m) * (lam - n - 4 * r + 4) - m * n,
-        linear=[(n + 2 * r - 4, m - n)],
-        eig=(lam - n - 2 * r + 4 - q) * (lam - m - q))
-    add("-+1", prefactor=(lam - 2 * n - m + 2 * r + 2) * (lam - n - 4 * r + 4) - m * n,
-        linear=[(n + 2 * r - 4, m - n)],
-        eig=(lam - n - 2 * r + 4 - q) * (lam - n - m + 2 + q))
-    add("0-1", prefactor=(lam - m) * (lam - 2 * m - n + 4 * r - 2) - m * n,
-        linear=[(m + n + 2 - 2 * r, m - n), (m, n - 1)], eig=lam - m - n - 2 + 2 * r + q)
-    add("1-1", prefactor=(lam - 2 * n - m + 2) * (lam - 2 * m - n + 4 * r - 2) - m * n,
-        linear=[(m + n + 2 - 2 * r, m - n), (m + n - 2, n - 1)],
-        eig=lam - m - n - 2 + 2 * r + q)
-    add("+-1", prefactor=(lam - 2 * r - m) * (lam - 2 * m - n + 4 * r - 2) - m * n,
-        linear=[(m + n + 2 - 2 * r, m - n)],
-        eig=(lam - m - q) * (lam - m - n - 2 + 2 * r + q))
-    add("--1", prefactor=(lam - 2 * n - m + 2 * r + 2) * (lam - 2 * m - n + 4 * r - 2) - m * n,
-        linear=[(m + n + 2 - 2 * r, m - n)],
-        eig=(lam - m - n + 2 + q) * (lam - n - m + 2 * r - 2 + q))
+    add("001", prefactor="lam*(lam - m - n)",
+        linear=[("m", "n - 1"), ("n", "m - 1")])
+    add("101", prefactor="(lam - n)*(lam - m - 2*n + 2) - m*n",
+        linear=[("m + n - 2", "n - 1"), ("n", "m - 1")])
+    add("+01", prefactor="(lam - n)*(lam - 2*r - m) - m*n",
+        linear=[("n", "m - 1")], eig="lam - m - q")
+    add("-01", prefactor="(lam - n)*(lam - 2*n - m + 2*r + 2) - m*n",
+        linear=[("n", "m - 1")], eig="lam - n - m + 2 + q")
+    add("011", prefactor="(lam - m)*(lam - 2*m - n + 2) - m*n",
+        linear=[("m", "n - 1"), ("m + n - 2", "m - 1")])
+    add("111", prefactor="lam - 2*n - 2*m + 2",
+        linear=[("m + n - 2", "m + n - 1")])
+    add("+11", prefactor="(lam - m - 2*r)*(lam - 2*m - n + 2) - m*n",
+        linear=[("m + n - 2", "m - 1")], eig="lam - m - q")
+    add("-11", prefactor="(lam - 2*m - n + 2)*(lam - m - 2*n + 2*r + 2) - m*n",
+        linear=[("m + n - 2", "m - 1")], eig="lam - m - n + 2 + q")
+    add("0+1", prefactor="(lam - m)*(lam - n - 4*r + 4) - m*n",
+        linear=[("n + 2*r - 4", "m - n"), ("m", "n - 1")], eig="lam - n - 2*r + 4 - q")
+    add("1+1", prefactor="(lam - 2*n - m + 2)*(lam - n - 4*r + 4) - m*n",
+        linear=[("n + 2*r - 4", "m - n"), ("m + n - 2", "n - 1")], eig="lam - n - 2*r + 4 - q")
+    add("++1", prefactor="(lam - 2*r - m)*(lam - n - 4*r + 4) - m*n",
+        linear=[("n + 2*r - 4", "m - n")],
+        eig="(lam - n - 2*r + 4 - q)*(lam - m - q)")
+    add("-+1", prefactor="(lam - 2*n - m + 2*r + 2)*(lam - n - 4*r + 4) - m*n",
+        linear=[("n + 2*r - 4", "m - n")],
+        eig="(lam - n - 2*r + 4 - q)*(lam - n - m + 2 + q)")
+    add("0-1", prefactor="(lam - m)*(lam - 2*m - n + 4*r - 2) - m*n",
+        linear=[("m + n + 2 - 2*r", "m - n"), ("m", "n - 1")], eig="lam - m - n - 2 + 2*r + q")
+    add("1-1", prefactor="(lam - 2*n - m + 2)*(lam - 2*m - n + 4*r - 2) - m*n",
+        linear=[("m + n + 2 - 2*r", "m - n"), ("m + n - 2", "n - 1")],
+        eig="lam - m - n - 2 + 2*r + q")
+    add("+-1", prefactor="(lam - 2*r - m)*(lam - 2*m - n + 4*r - 2) - m*n",
+        linear=[("m + n + 2 - 2*r", "m - n")],
+        eig="(lam - m - q)*(lam - m - n - 2 + 2*r + q)")
+    add("--1", prefactor="(lam - 2*n - m + 2*r + 2)*(lam - 2*m - n + 4*r - 2) - m*n",
+        linear=[("m + n + 2 - 2*r", "m - n")],
+        eig="(lam - m - n + 2 + q)*(lam - n - m + 2*r - 2 + q)")
 
     # ------------------------------------------------------------------
     # z = +: cross edges are the incidence pairs.  The incidence coupling
     # contributes the trailing "- q" inside each per-eigenvalue factor.
     # ------------------------------------------------------------------
-    add("00+", prefactor=lam * (lam - r - 2),
-        linear=[(2, m - n)], eig=(lam - 2) * (lam - r) - q)
-    add("10+", prefactor=lam * lam - (r + 2 * n) * lam + 4 * n - 4,
-        linear=[(2, m - n)], eig=(lam - r - n + 2) * (lam - 2) - q)
-    add("+0+", prefactor=lam * lam - (2 + 3 * r) * lam + 4 * r,
-        linear=[(2, m - n)], eig=(lam - 2) * (lam - r - q) - q)
-    add("-0+", prefactor=(lam - 2) * (lam - 2 * n + r + 2) - 2 * r,
-        linear=[(2, m - n)], eig=(lam - 2) * (lam - n - r + 2 + q) - q)
-    add("01+", prefactor=(lam - r) * (lam - 2 * m) - 2 * r,
-        linear=[(m, m - n)], eig=(lam - r) * (lam - m) - q)
-    add("11+", prefactor=(lam - r - 2 * n + 2) * (lam - 2 * m) - 2 * r,
-        linear=[(m, m - n)], eig=(lam - r - n + 2) * (lam - m) - q)
-    add("+1+", prefactor=(lam - 2 * m) * (lam - 3 * r) - 2 * r,
-        linear=[(m, m - n)], eig=(lam - m) * (lam - r - q) - q)
-    add("-1+", prefactor=(lam - 2 * m) * (lam - 2 * n + r + 2) - 2 * r,
-        linear=[(m, m - n)], eig=(lam - m) * (lam - n - r + 2 + q) - q,
+    add("00+", prefactor="lam*(lam - r - 2)",
+        linear=[("2", "m - n")], eig="(lam - 2)*(lam - r) - q")
+    add("10+", prefactor="lam*lam - (r + 2*n)*lam + 4*n - 4",
+        linear=[("2", "m - n")], eig="(lam - r - n + 2)*(lam - 2) - q")
+    add("+0+", prefactor="lam*lam - (2 + 3*r)*lam + 4*r",
+        linear=[("2", "m - n")], eig="(lam - 2)*(lam - r - q) - q")
+    add("-0+", prefactor="(lam - 2)*(lam - 2*n + r + 2) - 2*r",
+        linear=[("2", "m - n")], eig="(lam - 2)*(lam - n - r + 2 + q) - q")
+    add("01+", prefactor="(lam - r)*(lam - 2*m) - 2*r",
+        linear=[("m", "m - n")], eig="(lam - r)*(lam - m) - q")
+    add("11+", prefactor="(lam - r - 2*n + 2)*(lam - 2*m) - 2*r",
+        linear=[("m", "m - n")], eig="(lam - r - n + 2)*(lam - m) - q")
+    add("+1+", prefactor="(lam - 2*m)*(lam - 3*r) - 2*r",
+        linear=[("m", "m - n")], eig="(lam - m)*(lam - r - q) - q")
+    add("-1+", prefactor="(lam - 2*m)*(lam - 2*n + r + 2) - 2*r",
+        linear=[("m", "m - n")], eig="(lam - m)*(lam - n - r + 2 + q) - q",
         status="corrected",
         published="[(lam - 2m)(lam - 2n + r + 2) - 2r] * (lam - m)^(m-n)"
                   " * prod[(lam - m)(lam - n + r + 2 - q_i) - q_i]"
                   " [per-eigenvalue factor printed with +r and -q_i;"
                   " exact expansion requires -r and +q_i]")
-    add("0++", prefactor=(lam - r) * (lam - 4 * r + 2) - 2 * r,
-        linear=[(2 * r - 2, m - n)], eig=(lam - r) * (lam - 2 * r + 2 - q) - q)
-    add("1++", prefactor=(lam - r - 2 * n + 2) * (lam - 4 * r + 2) - 2 * r,
-        linear=[(2 * r - 2, m - n)], eig=(lam - r - n + 2) * (lam - 2 * r + 2 - q) - q)
-    add("+++", prefactor=(lam - 3 * r + 2) * (lam - 4 * r),
-        linear=[(2 * r - 2, m - n)], eig=(lam - r - q) * (lam - 2 * r + 2 - q) - q)
-    add("-++", prefactor=(lam - 2 * n + r + 2) * (lam - 4 * r + 2) - 2 * r,
-        linear=[(2 * r - 2, m - n)], eig=(lam - n - r + 2 + q) * (lam - 2 * r + 2 - q) - q)
-    add("0-+", prefactor=(lam - r) * (lam - 2 * m + 4 * r - 4) - 2 * r,
-        linear=[(m - 2 * r + 4, m - n)], eig=(lam - r) * (lam - m + 2 * r - 4 + q) - q)
-    add("1-+", prefactor=(lam - r - 2 * n + 2) * (lam - 2 * m + 4 * r - 4) - 2 * r,
-        linear=[(m - 2 * r + 4, m - n)], eig=(lam - r - n + 2) * (lam - m + 2 * r - 4 + q) - q)
-    add("+-+", prefactor=(lam - 3 * r) * (lam - 2 * m + 4 * r - 4) - 2 * r,
-        linear=[(m - 2 * r + 4, m - n)], eig=(lam - r - q) * (lam - m + 2 * r - 4 + q) - q)
-    add("--+", prefactor=(lam - 2 * n + r + 2) * (lam - 2 * m + 4 * r - 4) - 2 * r,
-        linear=[(m - 2 * r + 4, m - n)], eig=(lam - n - r + 2 + q) * (lam - m + 2 * r - 4 + q) - q)
+    add("0++", prefactor="(lam - r)*(lam - 4*r + 2) - 2*r",
+        linear=[("2*r - 2", "m - n")], eig="(lam - r)*(lam - 2*r + 2 - q) - q")
+    add("1++", prefactor="(lam - r - 2*n + 2)*(lam - 4*r + 2) - 2*r",
+        linear=[("2*r - 2", "m - n")], eig="(lam - r - n + 2)*(lam - 2*r + 2 - q) - q")
+    add("+++", prefactor="(lam - 3*r + 2)*(lam - 4*r)",
+        linear=[("2*r - 2", "m - n")], eig="(lam - r - q)*(lam - 2*r + 2 - q) - q")
+    add("-++", prefactor="(lam - 2*n + r + 2)*(lam - 4*r + 2) - 2*r",
+        linear=[("2*r - 2", "m - n")], eig="(lam - n - r + 2 + q)*(lam - 2*r + 2 - q) - q")
+    add("0-+", prefactor="(lam - r)*(lam - 2*m + 4*r - 4) - 2*r",
+        linear=[("m - 2*r + 4", "m - n")], eig="(lam - r)*(lam - m + 2*r - 4 + q) - q")
+    add("1-+", prefactor="(lam - r - 2*n + 2)*(lam - 2*m + 4*r - 4) - 2*r",
+        linear=[("m - 2*r + 4", "m - n")], eig="(lam - r - n + 2)*(lam - m + 2*r - 4 + q) - q")
+    add("+-+", prefactor="(lam - 3*r)*(lam - 2*m + 4*r - 4) - 2*r",
+        linear=[("m - 2*r + 4", "m - n")], eig="(lam - r - q)*(lam - m + 2*r - 4 + q) - q")
+    add("--+", prefactor="(lam - 2*n + r + 2)*(lam - 2*m + 4*r - 4) - 2*r",
+        linear=[("m - 2*r + 4", "m - n")], eig="(lam - n - r + 2 + q)*(lam - m + 2*r - 4 + q) - q")
 
     # ------------------------------------------------------------------
     # z = -: cross edges are the non-incidence pairs.
     # ------------------------------------------------------------------
-    add("00-", prefactor=lam * (lam - n - m + r + 2),
-        linear=[(n - 2, m - n)], eig=(lam - m + r) * (lam - n + 2) - q)
-    add("10-", prefactor=(lam - n + 2) * (lam - 2 * n - m + r + 2) + (2 * r - m) * n - 2 * r,
-        linear=[(n - 2, m - n)], eig=(lam - m - n + r + 2) * (lam - n + 2) - q,
+    add("00-", prefactor="lam*(lam - n - m + r + 2)",
+        linear=[("n - 2", "m - n")], eig="(lam - m + r)*(lam - n + 2) - q")
+    add("10-", prefactor="(lam - n + 2)*(lam - 2*n - m + r + 2) + (2*r - m)*n - 2*r",
+        linear=[("n - 2", "m - n")], eig="(lam - m - n + r + 2)*(lam - n + 2) - q",
         status="corrected",
         published="[(lam - n + 2)(lam - 2n + m + r + 2) + (2r - m)n - 2r]"
                   " * (lam - n + 2)^(m-n)"
                   " * prod[(lam - m - n + r + 2)(lam - n + 2) - q_i]"
                   " [prefactor printed with +m inside the second factor;"
                   " exact expansion requires -m]")
-    add("+0-", prefactor=(lam - n + 2) * (lam - m - r) + (2 * r - m) * n - 2 * r,
-        linear=[(n - 2, m - n)], eig=(lam - n + 2) * (lam - m + r - q) - q)
-    add("-0-", prefactor=(lam - n + 2) * (lam - 2 * n - m + 3 * r + 2) + (2 * r - m) * n - 2 * r,
-        linear=[(n - 2, m - n)], eig=(lam - n + 2) * (lam - n - m + r + 2 + q) - q)
-    add("01-", prefactor=(lam - m + r) * (lam - n - 2 * m + 4) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 4, m - n)], eig=(lam - m - n + 4) * (lam - m + r) - q)
-    add("11-", prefactor=(lam - 2 * n - 2 * m + 2) * (lam - n - m + r + 4) + 8 * m,
-        linear=[(n + m - 4, m - n)], eig=(lam - m - n + r + 2) * (lam - n - m + 4) - q)
-    add("+1-", prefactor=(lam - m - r) * (lam - n - 2 * m + 4) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 4, m - n)], eig=(lam - n - m + 4) * (lam - m + r - q) - q)
-    add("-1-", prefactor=(lam - n - 2 * m + 4) * (lam - 2 * n - m + 3 * r + 2) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 4, m - n)], eig=(lam - n - m + 4) * (lam - m - n + r + q + 2) - q)
-    add("0+-", prefactor=(lam - m + r) * (lam - n - 4 * r + 6) + (4 - n) * m - 2 * r,
-        linear=[(n + 2 * r - 6, m - n)], eig=(lam - m + r) * (lam - n - 2 * r + 6 - q) - q)
-    add("1+-", prefactor=(lam - 2 * n - m + r + 2) * (lam - n - 4 * r + 6) + (4 - n) * m - 2 * r,
-        linear=[(n + 2 * r - 6, m - n)], eig=(lam - n - m + r + 2) * (lam - n - 2 * r + 6 - q) - q)
-    add("++-", prefactor=(lam - m - r) * (lam - n - 4 * r + 6) + (4 - n) * m - 2 * r,
-        linear=[(n + 2 * r - 6, m - n)], eig=(lam - m + r - q) * (lam - n - 2 * r + 6 - q) - q)
-    add("-+-", prefactor=(lam - n - 4 * r + 6) * (lam - 2 * n - m + 3 * r + 2) + (4 - n) * m - 2 * r,
-        linear=[(n + 2 * r - 6, m - n)], eig=(lam - m - n + r + 2 + q) * (lam - n - 2 * r + 6 - q) - q)
-    add("0--", prefactor=(lam - m + r) * (lam - n - 2 * m + 4 * r) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 2 * r, m - n)], eig=(lam - m + r) * (lam - n - m + 2 * r + q) - q)
-    add("1--", prefactor=(lam - n - 2 * m + 4 * r) * (lam - 2 * n - m + r + 2) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 2 * r, m - n)], eig=(lam - n - m + r + 2) * (lam - n - m + 2 * r + q) - q)
-    add("+--", prefactor=(lam - m - r) * (lam - n - 2 * m + 4 * r) + (4 - n) * m - 2 * r,
-        linear=[(n + m - 2 * r, m - n)], eig=(lam - n - m + 2 * r + q) * (lam + r - m - q) - q)
-    add("---", prefactor=(lam - 2 * n - 2 * m + 4 * r + 2) * (lam + 3 * r - n - m),
-        linear=[(n + m - 2 * r, m - n)],
-        eig=(lam - n - m + r + q + 2) * (lam + 2 * r - n - m + q) - q)
+    add("+0-", prefactor="(lam - n + 2)*(lam - m - r) + (2*r - m)*n - 2*r",
+        linear=[("n - 2", "m - n")], eig="(lam - n + 2)*(lam - m + r - q) - q")
+    add("-0-", prefactor="(lam - n + 2)*(lam - 2*n - m + 3*r + 2) + (2*r - m)*n - 2*r",
+        linear=[("n - 2", "m - n")], eig="(lam - n + 2)*(lam - n - m + r + 2 + q) - q")
+    add("01-", prefactor="(lam - m + r)*(lam - n - 2*m + 4) + (4 - n)*m - 2*r",
+        linear=[("n + m - 4", "m - n")], eig="(lam - m - n + 4)*(lam - m + r) - q")
+    add("11-", prefactor="(lam - 2*n - 2*m + 2)*(lam - n - m + r + 4) + 8*m",
+        linear=[("n + m - 4", "m - n")], eig="(lam - m - n + r + 2)*(lam - n - m + 4) - q")
+    add("+1-", prefactor="(lam - m - r)*(lam - n - 2*m + 4) + (4 - n)*m - 2*r",
+        linear=[("n + m - 4", "m - n")], eig="(lam - n - m + 4)*(lam - m + r - q) - q")
+    add("-1-", prefactor="(lam - n - 2*m + 4)*(lam - 2*n - m + 3*r + 2) + (4 - n)*m - 2*r",
+        linear=[("n + m - 4", "m - n")], eig="(lam - n - m + 4)*(lam - m - n + r + q + 2) - q")
+    add("0+-", prefactor="(lam - m + r)*(lam - n - 4*r + 6) + (4 - n)*m - 2*r",
+        linear=[("n + 2*r - 6", "m - n")], eig="(lam - m + r)*(lam - n - 2*r + 6 - q) - q")
+    add("1+-", prefactor="(lam - 2*n - m + r + 2)*(lam - n - 4*r + 6) + (4 - n)*m - 2*r",
+        linear=[("n + 2*r - 6", "m - n")], eig="(lam - n - m + r + 2)*(lam - n - 2*r + 6 - q) - q")
+    add("++-", prefactor="(lam - m - r)*(lam - n - 4*r + 6) + (4 - n)*m - 2*r",
+        linear=[("n + 2*r - 6", "m - n")], eig="(lam - m + r - q)*(lam - n - 2*r + 6 - q) - q")
+    add("-+-", prefactor="(lam - n - 4*r + 6)*(lam - 2*n - m + 3*r + 2) + (4 - n)*m - 2*r",
+        linear=[("n + 2*r - 6", "m - n")], eig="(lam - m - n + r + 2 + q)*(lam - n - 2*r + 6 - q) - q")
+    add("0--", prefactor="(lam - m + r)*(lam - n - 2*m + 4*r) + (4 - n)*m - 2*r",
+        linear=[("n + m - 2*r", "m - n")], eig="(lam - m + r)*(lam - n - m + 2*r + q) - q")
+    add("1--", prefactor="(lam - n - 2*m + 4*r)*(lam - 2*n - m + r + 2) + (4 - n)*m - 2*r",
+        linear=[("n + m - 2*r", "m - n")], eig="(lam - n - m + r + 2)*(lam - n - m + 2*r + q) - q")
+    add("+--", prefactor="(lam - m - r)*(lam - n - 2*m + 4*r) + (4 - n)*m - 2*r",
+        linear=[("n + m - 2*r", "m - n")], eig="(lam - n - m + 2*r + q)*(lam + r - m - q) - q")
+    add("---", prefactor="(lam - 2*n - 2*m + 4*r + 2)*(lam + 3*r - n - m)",
+        linear=[("n + m - 2*r", "m - n")],
+        eig="(lam - n - m + r + q + 2)*(lam + 2*r - n - m + q) - q")
 
     assert len(table) == 64
     return table
@@ -391,13 +340,13 @@ def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
     env = {"n": n, "m": m, "r": r}
     g = desc.eig_factor
     if g is not None:  # zero + value: an int-valued expression becomes a constant polynomial
-        g = BiPoly.constant(0) + g.evaluate({**env, "lam": BiPoly.u(), "q": BiPoly.v()})
+        g = BiPoly.constant(0) + _evaluate(g, {**env, "lam": BiPoly.u(), "q": BiPoly.v()})
     return (
-        -1 if desc.sign_exponent.evaluate(env) % 2 else 1,
-        IntPoly.zero() + desc.prefactor.evaluate({**env, "lam": IntPoly.x()}),
-        [(root.evaluate(env), e.evaluate(env)) for root, e in desc.linear_factors],
+        -1 if _evaluate(desc.sign_exponent, env) % 2 else 1,
+        IntPoly.zero() + _evaluate(desc.prefactor, {**env, "lam": IntPoly.x()}),
+        [(_evaluate(root, env), _evaluate(e, env)) for root, e in desc.linear_factors],
         g,
-        [(a, b.evaluate(env)) for a, b in desc.composed_terms],
+        [(a, _evaluate(b, env)) for a, b in desc.composed_terms],
     )
 
 
@@ -445,22 +394,21 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
 
 def render_formula(desc: FormulaDescriptor) -> str:
     """One-line rendering of a descriptor in its symbolic form."""
-    lam = Expr.var("lam")
     parts = []
     se = desc.sign_exponent
-    if not se.is_literal(0):
-        parts.append("-1" if se.is_literal(1) else f"(-1)^({se})")
-    if not desc.prefactor.is_literal(1):
+    if se != "0":
+        parts.append("-1" if se == "1" else f"(-1)^({se})")
+    if desc.prefactor != "1":
         parts.append(f"[{desc.prefactor}]")
     for root, exponent in desc.linear_factors:  # a name or a literal, negative too, is an atom
-        base = "lam" if root.is_literal(0) else (
-            f"(lam - {root})" if re.fullmatch(r"-?\w+", root.text) else f"(lam - ({root}))"
+        base = "lam" if root == "0" else (
+            f"(lam - {root})" if re.fullmatch(r"-?\w+", root) else f"(lam - ({root}))"
         )
-        parts.append(base if exponent.is_literal(1) else f"{base}^({exponent})")
+        parts.append(base if exponent == "1" else f"{base}^({exponent})")
     if desc.eig_factor is not None:
         parts.append(f"prod_i[{desc.eig_factor}]")
     for a, b in desc.composed_terms:
-        arg = lam if a == 1 and b.is_literal(0) else (lam + b) if a == 1 else (b - lam)
+        arg = "lam" if a == 1 and b == "0" else f"lam + ({b})" if a == 1 else f"{b} - lam"
         parts.append(f"f({arg})")
     return " * ".join(parts) if parts else "1"
 
