@@ -40,6 +40,7 @@ class DegreeMismatch(ValueError):
 
 
 def _trim(cs: list) -> tuple:
+    """cs with its trailing zeros dropped, ints or IntPoly alike, as a tuple."""
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
@@ -49,7 +50,8 @@ class IntPoly:
     """Univariate integer polynomial; coefficients ascending, no trailing zeros.
 
     A coefficient that is not an int, such as 1.5 or "3", raises TypeError; so
-    does an operand of +, - or * that is neither an IntPoly nor an int."""
+    does an operand of +, - or * that is neither an IntPoly nor an int.  The zero
+    polynomial is false and every other polynomial true."""
 
     __slots__ = ("coeffs",)
 
@@ -90,14 +92,11 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -160,7 +159,8 @@ class IntPoly:
             base, k = base * base, k >> 1
         return out * base if out is not None else base if k else IntPoly.one()
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x):
+        """The value at x by Horner's rule; x may be an int or an IntPoly."""
         y = 0
         for c in reversed(self.coeffs):
             y = y * x + c
@@ -178,7 +178,13 @@ class IntPoly:
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient q with a = b*q; raises NotDivisible when no such q exists."""
+    """Quotient q with a = b*q; raises NotDivisible when no such q exists.
+
+    A divisor of 1 or -1 returns a itself or -a, which is safe as IntPoly is immutable."""
+    if b.coeffs == (1,):
+        return a
+    if b.coeffs == (-1,):
+        return -a
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
@@ -186,7 +192,7 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     if a.degree < b.degree:
         raise NotDivisible(f"degree {a.degree} < {b.degree}")
     rem = list(a.coeffs)
-    lead = b.leading
+    lead = b.coeffs[-1]
     qdeg = a.degree - b.degree
     quot = [0] * (qdeg + 1)
     for k in range(qdeg, -1, -1):
@@ -204,12 +210,8 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
-    """Expand f(a*x + b) exactly (a is +1 or -1 in every use here)."""
-    arg = IntPoly((b, a))
-    out = IntPoly.zero()
-    for c in reversed(f.coeffs):
-        out = out * arg + c
-    return out
+    """Expand f(a*x + b) exactly (a is +1 or -1 in every use here), by Horner's rule."""
+    return f(IntPoly((b, a))) if f else f
 
 
 class BiPoly:
@@ -315,7 +317,7 @@ class BiPoly:
         a, b = self._cols, other._cols
         out = [_intpoly([])] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca.is_zero:
+            if ca:
                 for j, cb in enumerate(b):
                     out[i + j] = out[i + j] + ca * cb
         return _bipoly(out)
@@ -366,10 +368,8 @@ def _intpoly(cs: list) -> IntPoly:
 
 def _bipoly(cols: list) -> BiPoly:
     """The same for a list of IntPoly, the coefficients in v; trailing zeros are dropped."""
-    while cols and cols[-1].is_zero:  # IntPoly has no truth value of its own
-        cols.pop()
     f = _new(BiPoly)
-    _set_cols(f, tuple(cols))
+    _set_cols(f, _trim(cols))
     return f
 
 
@@ -444,11 +444,6 @@ def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
 # ----------------------------------------------------------------------------
 
 
-def _unit_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b exactly; b = +-1 returns a or -a itself, which is safe as IntPoly is immutable."""
-    return a if b.coeffs == (1,) else -a if b.coeffs == (-1,) else exact_div(a, b)
-
-
 def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     """Res_v(a, b), the resultant in the second variable: a polynomial in the first.
 
@@ -470,7 +465,7 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     delta = 0  # h owes the update h <- g^delta / h^(delta-1) until something reads it
     while len(B) > 1:
         if delta:
-            h = _unit_div(g ** delta, h ** (delta - 1))
+            h = exact_div(g ** delta, h ** (delta - 1))
         m, n = len(A) - 1, len(B) - 1
         if m * n % 2:
             sign = -sign
@@ -483,18 +478,16 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
             r[k] = r[k] * ck - top * B[0]
             for i in range(1, n):
                 r[k + i] = r[k + i] * c - top * B[i]
-        r = r[:n]
-        while r and r[-1].is_zero:
-            r.pop()
+        r = _trim(r[:n])
         if not r:
             return IntPoly.zero()
         scale = g * h ** delta
-        A, B, g = B, [_unit_div(t, scale) for t in r], c
+        A, B, g = B, [exact_div(t, scale) for t in r], c
     d = len(A) - 1
     if d > 1 and delta:
-        h = _unit_div(g ** delta, h ** (delta - 1))
+        h = exact_div(g ** delta, h ** (delta - 1))
     # at d = 1 the division is by h^0 = 1, so B[0] is the resultant; d = 0 has sign 1
-    res = _unit_div(B[0] ** d, h ** (d - 1)) if d > 1 else B[0] if d else IntPoly.one()
+    res = exact_div(B[0] ** d, h ** (d - 1)) if d > 1 else B[0] if d else IntPoly.one()
     return res if sign > 0 else -res
 
 

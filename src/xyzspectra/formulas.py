@@ -379,7 +379,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         num = num * eig_product(reduced_qpoly(f, r), g)
     for a, b in composed:
         num = num * compose_linear(f, a, b)
-    result = exact_div(num, den) if den.degree > 0 else num
+    result = exact_div(num, den)
     if result.degree != n + m:
         raise DegreeMismatch(
             f"case {desc.case}: got degree {result.degree}, expected {n + m}"
@@ -424,20 +424,12 @@ def render_formula_instantiated(desc: FormulaDescriptor, n: int, m: int, r: int)
     for rv, ev in linear:
         if ev == 0:
             continue
-        if rv == 0:
-            base = "lam"
-        elif rv > 0:
-            base = f"(lam - {rv})"
-        else:
-            base = f"(lam + {-rv})"
+        base = f"({IntPoly.linear_root(rv).pretty('lam')})" if rv else "lam"
         parts.append(base if ev == 1 else f"{base}^{ev}" if ev > 0 else f"{base}^({ev})")
     if g is not None:
         parts.append(f"prod_i[{g.pretty('lam', 'q_i')}]")
     for a, bv in composed:
-        if a == 1:
-            arg = "lam" if bv == 0 else (f"lam + {bv}" if bv > 0 else f"lam - {-bv}")
-        else:
-            arg = f"{bv} - lam"
+        arg = IntPoly((bv, 1)).pretty("lam") if a == 1 else f"{bv} - lam"
         parts.append(f"f({arg})")
     return " * ".join(parts) if parts else "1"
 

@@ -67,13 +67,31 @@ class VerificationResult:
 
 @dataclass(frozen=True)
 class CorpusReport:
+    """The results of a corpus run; every tally is read off the results."""
+
     graph_ids: tuple[str, ...]
     cases: tuple[XyzCase, ...]
     results: tuple[VerificationResult, ...]
-    per_case: dict            # case string -> (matched, total)
-    failures: tuple[tuple[str, str], ...]
-    descriptor_status: dict   # case string -> status
     runtime_seconds: float
+
+    @property
+    def per_case(self) -> dict:
+        """Case string -> (matched, total), for every case of the run."""
+        tally = {str(c): (0, 0) for c in self.cases}
+        for res in self.results:
+            matched, total = tally[str(res.case)]
+            tally[str(res.case)] = (matched + (res.outcome == "match"), total + 1)
+        return tally
+
+    @property
+    def failures(self) -> tuple[tuple[str, str], ...]:
+        """(graph id, case string) of each result that is not a match, in run order."""
+        return tuple((res.graph_id, str(res.case)) for res in self.results if res.outcome != "match")
+
+    @property
+    def descriptor_status(self) -> dict:
+        """Case string -> the status of its descriptor."""
+        return {str(c): descriptor_for(c).status for c in self.cases}
 
     @property
     def all_match(self) -> bool:
@@ -132,27 +150,11 @@ def run_corpus(graphs, cases=None) -> CorpusReport:
     start = time.perf_counter()
     cases = list(cases) if cases is not None else list_cases()
     graphs = list(graphs)
-    results = []
-    matched = {str(c): 0 for c in cases}
-    total = {str(c): 0 for c in cases}
-    failures = []
-    for gid, g in graphs:
-        for res in _verify_graph(gid, g, cases):
-            results.append(res)
-            total[str(res.case)] += 1
-            if res.outcome == "match":
-                matched[str(res.case)] += 1
-            else:
-                failures.append((gid, str(res.case)))
-    per_case = {c: (matched[c], total[c]) for c in matched}
-    status = {str(c): descriptor_for(c).status for c in cases}
+    results = tuple(res for gid, g in graphs for res in _verify_graph(gid, g, cases))
     return CorpusReport(
         graph_ids=tuple(gid for gid, _ in graphs),
         cases=tuple(cases),
-        results=tuple(results),
-        per_case=per_case,
-        failures=tuple(failures),
-        descriptor_status=status,
+        results=results,
         runtime_seconds=time.perf_counter() - start,
     )
 
@@ -183,10 +185,10 @@ def report_to_json(report: CorpusReport) -> str:
             for res in report.results
         ],
         "per_case": {
-            c: {"matched": mt[0], "total": mt[1]} for c, mt in sorted(report.per_case.items())
+            c: {"matched": mt[0], "total": mt[1]} for c, mt in report.per_case.items()
         },
         "failures": [list(f) for f in report.failures],
-        "descriptor_status": dict(sorted(report.descriptor_status.items())),
+        "descriptor_status": report.descriptor_status,
         "runtime_seconds": report.runtime_seconds,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

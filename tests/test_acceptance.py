@@ -5,6 +5,7 @@ per criterion.  Every comparison here is exact integer equality.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -12,7 +13,13 @@ import pytest
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, eig_product, exact_div
 from xyzspectra.formulas import descriptor_for, formula_charpoly, list_cases
-from xyzspectra.graph import complete_graph, cycle_graph, petersen_graph, regularity
+from xyzspectra.graph import (
+    complete_graph,
+    cycle_graph,
+    from_edge_list,
+    petersen_graph,
+    regularity,
+)
 from xyzspectra.linalg import IntMatrix, signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
 from xyzspectra.verify import (
@@ -227,3 +234,42 @@ def test_criterion_6_report_determinism(full_report):
     _announce("criterion 6: byte-identical corpus reports", ok, f"{len(blob1)} bytes, sha256 {digest[:12]}")
     assert blob1 == blob2
     assert digest == REPORT_SHA256
+
+
+def _cayley_z4z4(gens):
+    """Cayley graph of Z4 x Z4 for a connection set closed under negation; (a, b) is 4a + b."""
+    edges = {
+        tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+        for a in range(4) for b in range(4) for da, db in gens
+    }
+    return from_edge_list(16, sorted(edges))
+
+
+def _k4_count(g):
+    edges = {frozenset(e) for e in g.edges}
+    return sum(
+        all(frozenset(pair) in edges for pair in itertools.combinations(quad, 2))
+        for quad in itertools.combinations(range(g.n), 4)
+    )
+
+
+def test_criterion_7_cospectral_mates_by_brute_force():
+    """The paper's central claim with no descriptor involved: each charpoly of G^xyz
+    depends on n, m, r and the Q-spectrum of G only, so two Q-cospectral regular
+    graphs that are not isomorphic have equal oracle charpolys in all 64 cases."""
+    shrikhande = _cayley_z4z4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+    rook = _cayley_z4z4([(k, 0) for k in (1, 2, 3)] + [(0, k) for k in (1, 2, 3)])
+    violations = []
+    if not (regularity(shrikhande) == regularity(rook) == 6 and shrikhande.m == rook.m == 48):
+        violations.append("the two graphs are not both 6-regular on 16 vertices")
+    if charpoly(signless_laplacian(shrikhande)) != charpoly(signless_laplacian(rook)):
+        violations.append("the base graphs are not Q-cospectral")
+    k4 = (_k4_count(shrikhande), _k4_count(rook))
+    if k4 != (0, 8):  # not isomorphic: the rook graph's rows and columns are its K4s
+        violations.append(f"K4 counts {k4}, expected (0, 8)")
+    for case in list_cases():
+        a, b = (charpoly(signless_laplacian(xyz_transform(g, case))) for g in (shrikhande, rook))
+        if a != b:
+            violations.append(f"{case}: oracle charpolys differ")
+    _announce("criterion 7: Q-cospectral mates, Shrikhande and K4xK4, in all 64 cases", not violations)
+    assert not violations, violations[:5]

@@ -257,8 +257,7 @@ class TestVerify:
 
         def fake(graphs, cases=None):
             res = VerificationResult("k3", cases[0], "mismatch", diff=IntPoly((1,)))
-            failures = (("k3", str(cases[0])),)
-            return CorpusReport(("k3",), tuple(cases), (res,), {}, failures, {}, 0.0)
+            return CorpusReport(("k3",), tuple(cases), (res,), 0.0)
 
         monkeypatch.setattr(cli, "run_corpus", fake)
         assert cli.main(["verify", k3_file, "--case", "+++"]) == 1

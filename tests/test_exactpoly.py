@@ -18,7 +18,7 @@ from math import isqrt, lcm, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import (
@@ -240,6 +240,12 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             exact_div(poly(1), IntPoly.zero())
 
+    def test_unit_division_returns_its_operand(self):
+        # a divisor of +-1 is answered before any other check: the operand itself, or its negation
+        for p in (poly(3, -1, 2), IntPoly.zero()):
+            assert exact_div(p, IntPoly.one()) is p
+            assert exact_div(p, -IntPoly.one()) == -p
+
     def test_pretty(self):
         assert poly(40, -14, 1).pretty("lam") == "lam^2 - 14*lam + 40"
         assert IntPoly.zero().pretty() == "0"
@@ -277,6 +283,12 @@ class TestComposeLinear:
     def test_identity_shift(self):
         f = poly(-4, 9, -6, 1)
         assert compose_linear(f, 1, 0) == f
+
+    def test_zero_polynomial_stays_a_polynomial(self):
+        # Horner's rule on no coefficients would give the int 0
+        for a in (1, -1):
+            out = compose_linear(IntPoly.zero(), a, 3)
+            assert isinstance(out, IntPoly) and out == IntPoly.zero()
 
     def test_reflect_k3(self):
         # f(1 - x) for f = (x-4)(x-1)^2 is -x^3 - 3x^2; spot values at 0..3
@@ -587,6 +599,12 @@ def test_exact_div_roundtrips_mul(a_coeffs, b_coeffs):
     if b.is_zero:
         return
     assert exact_div(a * b, b) == a
+
+
+@given(coeff_lists)
+@example([0, 0])
+def test_truth_value_is_nonzero(coeffs):
+    assert bool(IntPoly(coeffs)) == any(coeffs)
 
 
 @given(coeff_lists, st.integers(-10, 10))

@@ -1,5 +1,6 @@
 """The oracle harness and the standalone identity checks."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, compose_linear
 from xyzspectra import verify
+from xyzspectra.formulas import descriptor_for
 from xyzspectra.graph import (
     Graph,
     circulant_graph,
@@ -21,7 +23,9 @@ from xyzspectra.graph import (
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.transform import XyzCase
 from xyzspectra.verify import (
+    CorpusReport,
     PreconditionViolated,
+    VerificationResult,
     check_complement_lemma,
     check_eigen_lemma,
     check_line_graph_relation,
@@ -146,6 +150,27 @@ class TestRunCorpus:
         rep = run_corpus(graphs)
         assert len(rep.results) == 512
         assert rep.failures == ()
+
+
+class TestCorpusReport:
+    def test_tallies_read_off_results(self):
+        # built by hand from the only four fields, so nothing but the results can set the tallies
+        names = [f.name for f in dataclasses.fields(CorpusReport)]
+        assert names == ["graph_ids", "cases", "results", "runtime_seconds"]
+        c0, c1 = case("000"), case("+1-")
+        results = (
+            VerificationResult("A", c0, "match", diff=IntPoly.zero()),
+            VerificationResult("A", c1, "mismatch", diff=IntPoly.one()),
+            VerificationResult("B", c0, "error", error="ValueError: boom"),
+        )
+        rep = CorpusReport(("A", "B"), (c0, c1), results, 0.0)
+        assert rep.per_case == {"000": (1, 2), "+1-": (0, 1)}
+        assert rep.failures == (("A", "+1-"), ("B", "000"))
+        assert not rep.all_match
+        assert rep.descriptor_status == {str(c): descriptor_for(c).status for c in (c0, c1)}
+        only_match = CorpusReport(("A",), (c0, c1), results[:1], 0.0)
+        assert only_match.per_case == {"000": (1, 1), "+1-": (0, 0)}
+        assert only_match.failures == () and only_match.all_match
 
 
 class TestReportJson:
