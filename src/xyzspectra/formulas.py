@@ -7,13 +7,14 @@ in (n, m, r), an optional per-eigenvalue factor g(lam, q) applied as a
 product over the reduced spectrum q_1..q_{n-1}, and optional composed
 copies f(a*lam + b) of the input polynomial.  Each expression is written
 in the table as the text the audit export prints, over ints, the names
-n, m, r, lam and q, + - * and parentheses; building the table refuses
-any other token.  Evaluation compiles that text once and runs it with
-no builtins bound, so every check of a polynomial also checks its
-printed formula.
-One instantiation binds (n, m, r) in a record, and both the evaluator and
-the instantiated display read its result.  The reduced spectrum is
-computed only for a case with a per-eigenvalue factor.
+n, m, r, lam and q, + - * and parentheses.  On a descriptor's first use
+one walk over the parse trees of its texts, which refuses any other
+token, expands them into coefficient grids whose entries are integer
+polynomials in (n, m, r), compiled into one expression with no builtins
+bound; so every check of a polynomial also checks its printed formula.
+One instantiation evaluates that expression at (n, m, r), and both the
+evaluator and the instantiated display read its ints.  The reduced
+spectrum is computed only for a case with a per-eigenvalue factor.
 
 Descriptors carry a status flag.  Entries marked "corrected" deviate
 from the published form of the catalog they transcribe (sign slips, a
@@ -24,14 +25,17 @@ the brute-force construction over the whole verification corpus.
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
 from dataclasses import dataclass
+from operator import index
 
 from .exactpoly import (
-    BiPoly,
     DegreeMismatch,
     IntPoly,
+    _bipoly,
+    _intpoly,
     compose_linear,
     eig_product,
     exact_div,
@@ -48,35 +52,6 @@ __all__ = [
     "render_formula_instantiated",
     "descriptor_records",
 ]
-
-
-_NAMES = frozenset(("n", "m", "r", "lam", "q"))
-_NO_BUILTINS = {"__builtins__": {}}
-
-
-def _checked(text: str) -> str:
-    """text, if its tokens are the table's: ints, the names in _NAMES, + - *, parentheses, spaces.
-
-    With no builtins bound such a text can only look names up and do arithmetic;
-    a misplaced token is left to compile to report.
-    """
-    if (not re.fullmatch(r"[0-9a-z_ +*()-]+", text) or "**" in text
-            or not all(w.isdigit() or w in _NAMES for w in re.findall(r"\w+", text))):
-        raise ValueError(f"not a descriptor expression: {text!r}")
-    return text
-
-
-@functools.cache
-def _code(text: str):
-    return compile(text, "<descriptor>", "eval")
-
-
-def _evaluate(text: str, env: dict):
-    """Run a descriptor text with its names bound by env to ints (or polynomial generators)."""
-    try:
-        return eval(_code(text), _NO_BUILTINS, env)
-    except NameError as exc:
-        raise ValueError(f"unbound variable {exc.name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,11 +81,11 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
         key = XyzCase.parse(case)
         table[key] = FormulaDescriptor(
             case=key,
-            sign_exponent=_checked(sign),
-            prefactor=_checked(prefactor),
-            linear_factors=tuple((_checked(a), _checked(b)) for a, b in linear),
-            eig_factor=eig if eig is None else _checked(eig),
-            composed_terms=tuple((a, _checked(b)) for a, b in composed),
+            sign_exponent=sign,
+            prefactor=prefactor,
+            linear_factors=tuple(linear),
+            eig_factor=eig,
+            composed_terms=tuple(composed),
             status=status,
             published_form=published,
         )
@@ -330,24 +305,77 @@ def descriptor_for(case: XyzCase) -> FormulaDescriptor:
 # ----------------------------------------------------------------------------
 
 
+_NAMES = ("n", "m", "r", "lam", "q")
+
+
+def _grid(text: str, names=_NAMES) -> list:
+    """text's coefficients as Python source in n, m, r: [[of lam^0, lam^1, ...] for q^0, q^1, ...].
+
+    One walk over the parse tree expands text to {exponents of (n, m, r, lam, q): int}.
+    The walk is the table's grammar: int literals, the given names, unary minus, binary
+    + - * and parentheses; anything else raises ValueError.
+    """
+    def walk(node) -> dict:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return {(0,) * 5: node.value}
+        if isinstance(node, ast.Name) and node.id in names:
+            return {tuple(int(name == node.id) for name in _NAMES): 1}
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return {k: -c for k, c in walk(node.operand).items()}
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))):
+            raise ValueError(f"unbound variable {node.id!r} in {text!r}" if isinstance(node, ast.Name)
+                             else f"not a descriptor expression: {text!r}")
+        a, b, out = walk(node.left), walk(node.right), {}
+        if isinstance(node.op, ast.Mult):
+            terms = [(tuple(map(sum, zip(ka, kb))), ca * cb) for ka, ca in a.items() for kb, cb in b.items()]
+        else:
+            terms = [*a.items(), *((k, c if isinstance(node.op, ast.Add) else -c) for k, c in b.items())]
+        for k, c in terms:
+            out[k] = out.get(k, 0) + c
+        return out
+
+    try:
+        terms = {k: c for k, c in walk(ast.parse(text, mode="eval").body).items() if c}
+    except SyntaxError:
+        raise ValueError(f"not a descriptor expression: {text!r}") from None
+    grid = [["0"] * (1 + max((k[3] for k in terms), default=0))
+            for _ in range(1 + max((k[4] for k in terms), default=0))]
+    for (*nmr, a, b), c in terms.items():
+        grid[b][a] += f" + {c}" + "".join(f"*{v}" * e for v, e in zip("nmr", nmr))
+    return grid
+
+
+@functools.cache
+def _compiled(desc: FormulaDescriptor):
+    """desc's texts expanded once into code taking n, m, r to ints: (sign, prefactor
+    coefficients, (root, exponent) pairs, eigen factor's q-columns or None, (a, b) pairs)."""
+    def ints(text):
+        return _grid(text, _NAMES[:3])[0][0]
+
+    parts = (f"1 - 2*(({ints(desc.sign_exponent)}) % 2)", _grid(desc.prefactor, _NAMES[:4])[0],
+             [(ints(root), ints(e)) for root, e in desc.linear_factors],
+             None if desc.eig_factor is None else _grid(desc.eig_factor),
+             [(a, ints(b)) for a, b in desc.composed_terms])
+    # the sources hold no quote, so the unquoted repr of parts is their tuple's source
+    return compile(str(parts).replace("'", ""), f"<descriptor {desc.case}>", "eval")
+
+
 def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
     """The descriptor with (n, m, r) bound: (sign, prefactor, linear, g, composed).
 
     sign is +1 or -1, the prefactor an IntPoly in lam, linear the (root,
     exponent) pairs and composed the (a, b) pairs as ints, and g the
-    per-eigenvalue factor as a BiPoly in (lam, q), or None.
+    per-eigenvalue factor as a BiPoly in (lam, q), or None.  An n, m or r
+    that operator.index refuses raises TypeError, naming it.
     """
-    env = {"n": n, "m": m, "r": r}
-    g = desc.eig_factor
-    if g is not None:  # zero + value: an int-valued expression becomes a constant polynomial
-        g = BiPoly.constant(0) + _evaluate(g, {**env, "lam": BiPoly.u(), "q": BiPoly.v()})
-    return (
-        -1 if _evaluate(desc.sign_exponent, env) % 2 else 1,
-        IntPoly.zero() + _evaluate(desc.prefactor, {**env, "lam": IntPoly.x()}),
-        [(_evaluate(root, env), _evaluate(e, env)) for root, e in desc.linear_factors],
-        g,
-        [(a, _evaluate(b, env)) for a, b in desc.composed_terms],
-    )
+    env = {}
+    for name, value in zip("nmr", (n, m, r)):
+        try:
+            env[name] = index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
+    sign, pre, linear, g, composed = eval(_compiled(desc), {"__builtins__": {}}, env)
+    return sign, _intpoly(pre), linear, g if g is None else _bipoly([_intpoly(c) for c in g]), composed
 
 
 def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly) -> IntPoly:
@@ -359,6 +387,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     denominator that must divide out exactly at the end; failure to divide
     (or a wrong final degree) signals a bad descriptor or bad input.
     """
+    sign, num, linear, g, composed = _instantiate(desc, n, m, r)
     if m < 1:
         raise ValueError("formula_charpoly: m must be >= 1")
     if 2 * m != r * n:
@@ -367,7 +396,6 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         raise ValueError("formula_charpoly: f must be monic of degree n")
     if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
         raise ValueError("formula_charpoly: f must have the root 2r")
-    sign, num, linear, g, composed = _instantiate(desc, n, m, r)
     num = num if sign > 0 else -num
     den = IntPoly.one()
     for root, e in linear:

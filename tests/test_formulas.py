@@ -9,6 +9,7 @@ import hashlib
 import json
 import operator
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from xyzspectra import formulas
 from xyzspectra.exactpoly import BiPoly, DegreeMismatch, IntPoly, charpoly
 from xyzspectra.formulas import (
-    _evaluate,
     descriptor_for,
     descriptor_records,
     formula_charpoly,
@@ -52,6 +52,28 @@ def from_roots(*roots):
 
 def fpoly(g):
     return charpoly(signless_laplacian(g))
+
+
+def evaluate(text, env):
+    """A descriptor text run as Python source, its names bound by env to ints or
+    polynomial generators, with no builtins: the reference the grids are held to."""
+    return eval(compile(text, "<descriptor>", "eval"), {"__builtins__": {}}, env)
+
+
+def reference_instantiate(desc, n, m, r):
+    """What formulas._instantiate must return, built from the texts on the generators
+    IntPoly.x(), BiPoly.u() and BiPoly.v(), one operation per operator."""
+    env = {"n": n, "m": m, "r": r}
+    g = desc.eig_factor
+    if g is not None:  # zero + value: an int-valued expression becomes a constant polynomial
+        g = BiPoly.constant(0) + evaluate(g, {**env, "lam": BiPoly.u(), "q": BiPoly.v()})
+    return (
+        -1 if evaluate(desc.sign_exponent, env) % 2 else 1,
+        IntPoly.zero() + evaluate(desc.prefactor, {**env, "lam": IntPoly.x()}),
+        [(evaluate(root, env), evaluate(e, env)) for root, e in desc.linear_factors],
+        g,
+        [(a, evaluate(b, env)) for a, b in desc.composed_terms],
+    )
 
 
 def run_formula(g, case_str):
@@ -104,7 +126,7 @@ class TestDescriptors:
         assert len(desc.linear_factors) == 1
         root, exponent = desc.linear_factors[0]
         env = {"n": 3, "m": 3, "r": 2}
-        assert (_evaluate(root, env), _evaluate(exponent, env)) == (4, 5)
+        assert (evaluate(root, env), evaluate(exponent, env)) == (4, 5)
 
     def test_int_fields_need_only_n_m_r(self):
         # the sign, the roots, the exponents and the composed offsets are ints in (n, m, r)
@@ -114,24 +136,33 @@ class TestDescriptors:
             texts = [desc.sign_exponent, *(t for pair in desc.linear_factors for t in pair),
                      *(b for _, b in desc.composed_terms)]
             for text in texts:
-                assert type(_evaluate(text, env)) is int, f"case {c}: {text}"
+                assert type(evaluate(text, env)) is int, f"case {c}: {text}"
 
     def test_degree_accounting(self):
         # declared degrees must add up to n + m for every descriptor
         for n, m, r in [(3, 3, 2), (8, 12, 3), (6, 15, 5)]:
-            env = {"n": n, "m": m, "r": r}
             for c in list_cases():
-                desc = descriptor_for(c)
-                pre = _evaluate(desc.prefactor, {**env, "lam": IntPoly.x()})
-                deg = 0 if isinstance(pre, int) else pre.degree
-                assert deg <= 2
-                for _, exponent in desc.linear_factors:
-                    deg += _evaluate(exponent, env)
-                if desc.eig_factor is not None:
-                    g = _evaluate(desc.eig_factor, {**env, "lam": BiPoly.u(), "q": BiPoly.v()})
+                _, pre, linear, g, composed = formulas._instantiate(descriptor_for(c), n, m, r)
+                assert pre.degree <= 2
+                deg = pre.degree + sum(e for _, e in linear) + n * len(composed)
+                if g is not None:
                     deg += (n - 1) * g.deg_u
-                deg += n * len(desc.composed_terms)
                 assert deg == n + m, f"case {c}: degree budget {deg} != {n + m}"
+
+    def test_every_table_descriptor_compiles(self):
+        # each descriptor's grids are derived on first use; a bad table text fails here
+        for c in list_cases():
+            assert formulas._compiled(descriptor_for(c)).co_filename == f"<descriptor {c}>"
+
+    @pytest.mark.parametrize("n, m, r", [
+        (5, 5, 2), (4, 6, 3), (4, 2, 1), (17, 68, 8),   # C5, K4, 2K2, an 8-regular graph
+        (10**6, 3 * 10**6, 6),                          # large
+        (0, 0, 0), (-3, 7, 2), (0, -5, -2), (3, -4, 0), # no graph: the grids are identities
+    ])
+    def test_grids_equal_generator_evaluation(self, n, m, r):
+        for c in list_cases():
+            desc = descriptor_for(c)
+            assert formulas._instantiate(desc, n, m, r) == reference_instantiate(desc, n, m, r), c
 
 
 class TestFormulaCharpoly:
@@ -217,7 +248,7 @@ class TestFormulaCharpoly:
         g = cycle_graph(5)
         env = {"n": 5, "m": 5, "r": 2}
         negative = {str(c) for c in list_cases()
-                    if any(_evaluate(e, env) < 0 for _, e in descriptor_for(c).linear_factors)}
+                    if any(evaluate(e, env) < 0 for _, e in descriptor_for(c).linear_factors)}
         assert len(negative) == 7
         divided, plain_div = [], formulas.exact_div
 
@@ -238,7 +269,7 @@ class TestFormulaCharpoly:
         g = cycle_graph(5)
         env = {"n": 5, "m": 5, "r": 2}
         zero = [e for c in list_cases() for _, e in descriptor_for(c).linear_factors
-                if _evaluate(e, env) == 0]
+                if evaluate(e, env) == 0]
         assert len(zero) == 48
         zero_powers, plain_pow = [], IntPoly.__pow__
 
@@ -258,6 +289,25 @@ class TestFormulaCharpoly:
         for c in ("000", "+++"):
             with pytest.raises(ValueError):
                 formula_charpoly(descriptor_for(case(c)), 3, 3, 2, IntPoly([0, 0, 0, 1]))
+
+    def test_non_int_arguments_refused_by_name(self):
+        # one TypeError naming the argument, before any arithmetic, in every case;
+        # what operator.index accepts (here a bool) counts as the int it stands for
+        g = complete_graph(2)
+        f = fpoly(g)
+        for c in list_cases():
+            desc = descriptor_for(c)
+            for i, name in enumerate("nmr"):
+                for bad in (2.0, "2", Fraction(2), None):
+                    args = [2, 1, 1]
+                    args[i] = bad
+                    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                        formula_charpoly(desc, *args, f)
+                    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                        render_formula_instantiated(desc, *args)
+            assert formula_charpoly(desc, 2, True, True, f) == formula_charpoly(desc, 2, 1, 1, f)
+            assert render_formula_instantiated(desc, 2, True, True) == \
+                render_formula_instantiated(desc, 2, 1, 1)
 
 
 NAMES = ("n", "m", "r", "lam", "q")
@@ -298,26 +348,34 @@ def texts_in_step(draw):
 
 
 class TestExpr:
-    """Descriptor expressions: the table's token check and the evaluator."""
+    """Descriptor expressions: the expansion that is the table's grammar, and its grids."""
 
     @seed(20130101)
     @settings(max_examples=300, deadline=None)
     @given(texts_in_step())
     def test_evaluation_runs_the_rendering(self, drawn):
         text, ints, value, poly_value = drawn
-        assert formulas._checked(text) == text
-        assert _evaluate(text, ints) == value
-        assert _evaluate(text, {**ints, "lam": IntPoly.x()}) == poly_value
+        assert evaluate(text, ints) == value
+        assert evaluate(text, {**ints, "lam": IntPoly.x()}) == poly_value
+        # the expansion: its coefficients in lam and q, each as source in n, m, r
+        grid = [[evaluate(src, ints) for src in col] for col in formulas._grid(text)]
+        q = ints["q"]
+        assert sum(c * ints["lam"] ** a * q ** b
+                   for b, col in enumerate(grid) for a, c in enumerate(col)) == value
+        assert IntPoly([sum(col[a] * q ** b for b, col in enumerate(grid))
+                        for a in range(len(grid[0]))]) == IntPoly.zero() + poly_value
 
     def test_check_refuses_outside_grammar(self):
         for bad in ("n.real", "f(n)", "x", "__import__('os')", "lambda: 0", "n**2", "2n", ""):
             with pytest.raises(ValueError):
-                formulas._checked(bad)
+                formulas._grid(bad)
 
     def test_unbound_name_is_named(self):
-        for text, name in (("x", "'x'"), ("abs(n)", "'abs'")):  # no builtins are bound
+        # a name outside the grammar, a builtin's too, and lam or q in an int field
+        for text, names, name in (("x", NAMES, "'x'"), ("2*abs", NAMES, "'abs'"),
+                                  ("n - lam", NAMES[:3], "'lam'"), ("q", NAMES[:4], "'q'")):
             with pytest.raises(ValueError, match=name):
-                _evaluate(text, {"n": -1})
+                formulas._grid(text, names)
 
 
 class TestPublishedVariantsFail:
