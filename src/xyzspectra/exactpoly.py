@@ -3,14 +3,16 @@
 The computational kernel: integer univariate and bivariate polynomials, characteristic
 polynomials and determinants of integer matrices (modulo one prime above Hadamard's
 bound), and products of a bivariate factor over the roots of a monic polynomial (one
-resultant over Z[x]).  A bivariate polynomial is stored as its coefficients in the
-second variable, univariate polynomials in the first: the layout the resultant in the
-second variable reads.  No floating point; every result is exact by a proven bound.
+resultant over Z[x]), with a bound on their l1 norm and their value at one integer
+point (the same resultant loop over Z).  A bivariate polynomial is stored as its
+coefficients in the second variable, univariate polynomials in the first: the layout
+the resultant in the second variable reads.  No floating point; every result is exact by a proven bound.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt, prod
 from operator import index
 
@@ -94,6 +96,11 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    @property
+    def norm1(self) -> int:
+        """The sum of |coefficient|: submultiplicative, and at least every |coefficient|."""
+        return sum(map(abs, self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -427,12 +434,13 @@ def det(mat: IntMatrix) -> int:
     return (-1) ** mat.rows * charpoly(mat).coeffs[0]
 
 
+@lru_cache(maxsize=1)
 def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
     """Strip the known root 2r from a monic characteristic polynomial.
 
     For a connected r-regular graph the signless Laplacian has 2r as an
     eigenvalue; the quotient is monic of degree n-1 and carries the rest
-    of the spectrum.
+    of the spectrum.  The last (f, r) is cached, as each graph asks once per case.
     """
     if not f.is_monic:
         raise ValueError("reduced_qpoly: input must be monic")
@@ -455,24 +463,36 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     The pseudo-remainder scales lazily: an entry takes its power of lc(B) when a
     step first writes it, not once per step, and h is updated only when read.
     """
-    if a.is_zero or b.is_zero:
+    return _subresultant(a._cols, b._cols, IntPoly.one(), exact_div)
+
+
+def _int_div(a: int, b: int) -> int:
+    """exact_div for ints."""
+    quot, rem = divmod(a, b)
+    if rem:
+        raise NotDivisible("nonzero remainder")
+    return quot
+
+
+def _subresultant(A, B, one, div):
+    """resultant's loop on the coefficient tuples A, B over the ring of one (1 or IntPoly.one())."""
+    if not A or not B:
         raise ValueError("resultant of the zero polynomial")
-    A, B = a._cols, b._cols
     sign = -1 if len(A) < len(B) and (len(A) - 1) * (len(B) - 1) % 2 else 1
     if len(A) < len(B):
         A, B = B, A
-    g = h = IntPoly.one()
+    g = h = one
     delta = 0  # h owes the update h <- g^delta / h^(delta-1) until something reads it
     while len(B) > 1:
         if delta:
-            h = exact_div(g ** delta, h ** (delta - 1))
+            h = div(g ** delta, h ** (delta - 1))
         m, n = len(A) - 1, len(B) - 1
         if m * n % 2:
             sign = -sign
         c, delta = B[-1], m - n
         # prem(A, B) = c^(delta+1) A mod B, each entry scaled only when written: the top is as
         # the step before wrote it, entries above k gain one c since then, k gets ck = c^step.
-        r, ck = list(A), IntPoly.one()
+        r, ck = list(A), one
         for k in range(delta, -1, -1):
             top, ck = r[k + n], ck * c
             r[k] = r[k] * ck - top * B[0]
@@ -480,14 +500,14 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
                 r[k + i] = r[k + i] * c - top * B[i]
         r = _trim(r[:n])
         if not r:
-            return IntPoly.zero()
+            return 0 * one
         scale = g * h ** delta
-        A, B, g = B, [exact_div(t, scale) for t in r], c
+        A, B, g = B, [div(t, scale) for t in r], c
     d = len(A) - 1
     if d > 1 and delta:
-        h = exact_div(g ** delta, h ** (delta - 1))
+        h = div(g ** delta, h ** (delta - 1))
     # at d = 1 the division is by h^0 = 1, so B[0] is the resultant; d = 0 has sign 1
-    res = exact_div(B[0] ** d, h ** (d - 1)) if d > 1 else B[0] if d else IntPoly.one()
+    res = div(B[0] ** d, h ** (d - 1)) if d > 1 else B[0] if d else one
     return res if sign > 0 else -res
 
 
@@ -503,3 +523,27 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
     return resultant(_bipoly([_intpoly([c]) for c in p.coeffs]), g)
+
+
+def eig_bound(p: IntPoly, g: BiPoly) -> int:
+    """A bound on norm1(eig_product(p, g)), the Sylvester determinant's: each term takes one
+    entry a_ij of each row, so norm1(det) <= prod_i sum_j norm1(a_ij), over deg_v(g) rows of
+    p's coefficients and deg(p) rows of g's v-coefficients g_j."""
+    return p.norm1 ** g.deg_v * sum(c.norm1 for c in g._cols) ** p.degree
+
+
+def eig_value(p: IntPoly, g: BiPoly, x: int) -> int:
+    """eig_product(p, g) at u = x, as Res_v(p(v), g(x, v)) by resultant's loop over Z."""
+    return _subresultant(p.coeffs, g.eval_u(x).coeffs, 1, _int_div)
+
+
+def signed_digits(v: int, k: int) -> IntPoly:
+    """The P with P(2^k) = v and coefficients in [-2^(k-1), 2^(k-1)): unique, as its lowest
+    is d = v mod 2^k, or d - 2^k when d >= 2^(k-1), which borrows 1 from the digits above."""
+    cs, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while v:
+        d = v & mask
+        borrow = d >= half
+        cs.append(d - (borrow << k))
+        v = (v >> k) + borrow
+    return _intpoly(cs)

@@ -16,6 +16,14 @@ One instantiation evaluates that expression at (n, m, r), and both the
 evaluator and the instantiated display read its ints.  The reduced
 spectrum is computed only for a case with a per-eigenvalue factor.
 
+The numerator N (all factors but the negative powers) has |coefficients| at most
+the product of its factors' l1 norms, which is submultiplicative: norm1(prefactor),
+(1 + |root|)^e, norm1(f) * (|a| + |b|)^n and exactpoly.eig_bound.  With K the bound's
+bit length plus a sign bit, the one integer N(2^K), its eigen product one resultant
+over Z, fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen
+and Gerhard, Modern Computer Algebra, 8.4).  Above _KRONECKER_MAX_BITS the factors
+are multiplied as polynomials.  Both routes end in the same exact division.
+
 Descriptors carry a status flag.  Entries marked "corrected" deviate
 from the published form of the catalog they transcribe (sign slips, a
 dropped factor, an unbound symbol); the original display is retained in
@@ -29,6 +37,7 @@ import ast
 import functools
 import re
 from dataclasses import dataclass
+from math import prod
 from operator import index
 
 from .exactpoly import (
@@ -37,9 +46,12 @@ from .exactpoly import (
     _bipoly,
     _intpoly,
     compose_linear,
+    eig_bound,
     eig_product,
+    eig_value,
     exact_div,
     reduced_qpoly,
+    signed_digits,
 )
 from .transform import SYMBOLS, XyzCase
 
@@ -378,6 +390,14 @@ def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
     return sign, _intpoly(pre), linear, g if g is None else _bipoly([_intpoly(c) for c in g]), composed
 
 
+# Above this K, padding coefficients to K bits costs more than polynomial products (CPython
+# has no FFT multiply).  Kronecker time over polynomial time, all 64 cases on the closed-form
+# seed-1 circulants, the ladder rungs, C30..C80, C60(1,2) and C100(1,2) (2-core x86-64, Python
+# 3.11), median (max) by K: 0.27 (0.64) below 128, 0.29 (0.93) to 255, 0.45 (1.29) to 383, 0.68
+# (1.75) to 511, 0.86 (1.52) to 639, 1.16 (2.03) to 767, 1.53 (5.20) to 1023, 2.14 (4.94) to 1535.
+_KRONECKER_MAX_BITS = 512
+
+
 def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly) -> IntPoly:
     """Evaluate one descriptor to an exact polynomial of degree n + m.
 
@@ -385,7 +405,9 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     the monic degree-n characteristic polynomial f of the base graph's
     signless Laplacian.  Negative-exponent linear factors accumulate in a
     denominator that must divide out exactly at the end; failure to divide
-    (or a wrong final degree) signals a bad descriptor or bad input.
+    (or a wrong final degree) signals a bad descriptor or bad input.  At
+    lam = 2^K, above the bound and so above norm1(lc_q(g)), a Cauchy bound on
+    the roots of lc_q(g), the eigen factor keeps its degree in q.
     """
     sign, num, linear, g, composed = _instantiate(desc, n, m, r)
     if m < 1:
@@ -397,16 +419,23 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
         raise ValueError("formula_charpoly: f must have the root 2r")
     num = num if sign > 0 else -num
-    den = IntPoly.one()
-    for root, e in linear:
-        if e > 0:
+    p = None if g is None else reduced_qpoly(f, r)
+    rises = [(root, e) for root, e in linear if e > 0]
+    den = prod((IntPoly.linear_root(root) ** -e for root, e in linear if e < 0), start=IntPoly.one())
+    bound = num.norm1 * prod((1 + abs(root)) ** e for root, e in rises)
+    bound *= prod(f.norm1 * (abs(a) + abs(b)) ** n for a, b in composed)
+    k = (bound if p is None else bound * eig_bound(p, g)).bit_length() + 1  # with a sign bit
+    if k <= _KRONECKER_MAX_BITS:
+        x = 1 << k
+        v = num(x) * prod((x - root) ** e for root, e in rises) * prod(f(a * x + b) for a, b in composed)
+        num = signed_digits(v if p is None else v * eig_value(p, g, x), k)
+    else:
+        for root, e in rises:
             num = num * IntPoly.linear_root(root) ** e
-        elif e < 0:
-            den = den * IntPoly.linear_root(root) ** -e
-    if g is not None:
-        num = num * eig_product(reduced_qpoly(f, r), g)
-    for a, b in composed:
-        num = num * compose_linear(f, a, b)
+        if p is not None:
+            num = num * eig_product(p, g)
+        for a, b in composed:
+            num = num * compose_linear(f, a, b)
     result = exact_div(num, den)
     if result.degree != n + m:
         raise DegreeMismatch(

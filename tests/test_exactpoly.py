@@ -25,13 +25,18 @@ from xyzspectra.exactpoly import (
     BiPoly,
     IntPoly,
     NotDivisible,
+    _int_div,
+    _subresultant,
     charpoly,
     compose_linear,
     det,
+    eig_bound,
     eig_product,
+    eig_value,
     exact_div,
     reduced_qpoly,
     resultant,
+    signed_digits,
 )
 from xyzspectra.formulas import list_cases
 from xyzspectra.graph import circulant_graph, complete_graph, cycle_graph, petersen_graph
@@ -550,6 +555,40 @@ class TestEigProduct:
             eig_product(poly(1, 2), BiPoly.u() - BiPoly.v())
 
 
+class TestKronecker:
+    """The integer pieces formulas evaluates a descriptor with at lam = 2^k."""
+
+    def test_int_division(self):
+        assert _int_div(-6, 3) == -2 and _int_div(0, -7) == 0
+        with pytest.raises(NotDivisible):
+            _int_div(7, 2)
+
+    def test_planted_remainder_raises(self):
+        # the loop ends with a division by h = 16 on these inputs; one more in a dividend
+        # leaves a remainder, which must surface as NotDivisible, not as a floor quotient
+        divisors = []
+
+        def planted(a, b):
+            divisors.append(b)
+            return _int_div(a + (abs(b) > 1), b)
+
+        a, b = (1, 2, 3, 4, 5, 1), (3, 0, 2)
+        assert _subresultant(a, b, 1, _int_div) == sylvester_resultant(list(a), list(b))
+        with pytest.raises(NotDivisible):
+            _subresultant(a, b, 1, planted)
+        assert any(abs(d) > 1 for d in divisors)
+
+    def test_norm1(self):
+        assert poly(3, 0, -4, 1).norm1 == 8 and IntPoly.zero().norm1 == 0
+
+    def test_eig_bound_takes_each_row_sum_to_its_row_count(self):
+        # p = v^2 + 3 gives deg_v(g) = 1 row of norm 4, g = u - v gives deg(p) = 2 rows of
+        # norm 1 + 1: 4^1 * 2^2 = 16; Res = u^2 + 3, of norm 4
+        p, g = poly(3, 0, 1), BiPoly.u() - BiPoly.v()
+        assert eig_bound(p, g) == 16
+        assert eig_product(p, g) == poly(3, 0, 1)
+
+
 class TestBiPoly:
     def test_eval_u(self):
         lam, q = BiPoly.u(), BiPoly.v()
@@ -741,3 +780,49 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_charpoly_matches_references(mat):
     assert charpoly(mat) == berkowitz_charpoly(mat) == bareiss_charpoly(mat)
+
+
+@st.composite
+def signed_digit_polys(draw):
+    """(k, IntPoly) with every coefficient in [-2^(k-1), 2^(k-1)): the ends, zero and
+    +-(2^(k-1) - 1) drawn often."""
+    k = draw(st.integers(1, 300))
+    half = 1 << (k - 1)
+    coeff = st.one_of(st.sampled_from([0, half - 1, 1 - half, -half]), st.integers(-half, half - 1))
+    return k, IntPoly(draw(st.lists(coeff, max_size=12)))
+
+
+@seed(19670105)
+@settings(max_examples=300, deadline=None)
+@given(signed_digit_polys())
+def test_signed_digits_round_trip(drawn):
+    k, p = drawn
+    assert signed_digits(p(1 << k), k) == p
+
+
+@st.composite
+def int_poly_pairs(draw):
+    """Two integer coefficient lists of degree 0-7 with nonzero leading coefficients."""
+    def one():
+        lead = draw(st.integers(-5, 5).filter(bool))
+        return draw(st.lists(st.integers(-9, 9), max_size=7)) + [lead]
+
+    return one(), one()
+
+
+@seed(19670106)
+@settings(max_examples=250, deadline=None)
+@given(int_poly_pairs())
+def test_subresultant_over_ints_matches_sylvester_reference(pair):
+    a, b = pair
+    assert _subresultant(tuple(a), tuple(b), 1, _int_div) == sylvester_resultant(a, b)
+
+
+@seed(19670107)
+@settings(max_examples=150, deadline=None)
+@given(eig_product_inputs(), st.one_of(st.integers(-40, 40), st.integers(2**60, 2**200)))
+def test_eig_value_is_eig_product_at_x(inputs, x):
+    p, g = inputs
+    expected = eig_product(p, g)
+    assert eig_value(p, g, x) == expected(x)
+    assert expected.norm1 <= eig_bound(p, g)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from xyzspectra import formulas
-from xyzspectra.exactpoly import BiPoly, DegreeMismatch, IntPoly, charpoly
+from xyzspectra import exactpoly, formulas
+from xyzspectra.exactpoly import BiPoly, DegreeMismatch, IntPoly, NotDivisible, charpoly
 from xyzspectra.formulas import (
     descriptor_for,
     descriptor_records,
@@ -26,6 +26,7 @@ from xyzspectra.formulas import (
     render_formula_instantiated,
 )
 from xyzspectra.graph import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,7 @@ from xyzspectra.graph import (
 )
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
+from xyzspectra.verify import default_corpus
 
 CORRECTED_CASES = {"0+0", "1+0", "++0", "-+0", "0-0", "1-0", "+-0", "--0", "-1+", "10-"}
 
@@ -79,6 +81,44 @@ def reference_instantiate(desc, n, m, r):
 def run_formula(g, case_str):
     r = regularity(g)
     return formula_charpoly(descriptor_for(case(case_str)), g.n, g.m, r, fpoly(g))
+
+
+# _KRONECKER_MAX_BITS for each route: every K is at least 1, and none reaches 10**9
+POLYNOMIAL, KRONECKER = 0, 10**9
+
+
+def on_routes(monkeypatch, calls):
+    """Each call() on the polynomial route, then on the Kronecker route: its result, or the
+    type and message of what it raised; the signed-digit reads of each route are counted."""
+    out, reads, plain = [], [], formulas.signed_digits
+    monkeypatch.setattr(formulas, "signed_digits", lambda v, k: reads.append(k) or plain(v, k))
+    for limit in (POLYNOMIAL, KRONECKER):
+        monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", limit)
+        results = []
+        for call in calls:
+            try:
+                results.append(call())
+            except Exception as exc:
+                results.append((type(exc), str(exc)))
+        out.append(results)
+        out.append(len(reads))
+        reads.clear()
+    return out
+
+
+def regression_corpus():
+    """r = 1 with m < n (K2, 3K2) and disconnected graphs, where 2r is a repeated root."""
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return [Graph(2, ((0, 1),)), Graph(6, ((0, 1), (2, 3), (4, 5))),
+            Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
+            Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))),
+            Graph(8, tuple(k4) + tuple((a + 4, b + 4) for a, b in k4))]
+
+
+def all_cases(g):
+    """One call per case, the closed form of g."""
+    f, r = fpoly(g), regularity(g)
+    return [lambda d=descriptor_for(c): formula_charpoly(d, g.n, g.m, r, f) for c in list_cases()]
 
 
 class TestListCases:
@@ -245,6 +285,8 @@ class TestFormulaCharpoly:
     def test_divides_only_by_a_nonconstant_denominator(self, monkeypatch):
         # on C5 (n = m = 5, r = 2) only the cases with a negative exponent have a
         # nonconstant denominator; the other 57 divide by 1, which returns the numerator
+        # (checked on the polynomial route; both routes build the same denominator)
+        monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", POLYNOMIAL)
         g = cycle_graph(5)
         env = {"n": 5, "m": 5, "r": 2}
         negative = {str(c) for c in list_cases()
@@ -266,6 +308,8 @@ class TestFormulaCharpoly:
         # on C5 (n = m = 5, r = 2) 48 linear factors over the 64 cases have exponent 0,
         # each a product by (lam - root)**0 = 1, and resultant's remainder sequences end
         # at d = 1 in 42 of them, a division by h**0 = 1; no power of 0 is taken anywhere
+        # on the polynomial route, the one that raises IntPoly to powers
+        monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", POLYNOMIAL)
         g = cycle_graph(5)
         env = {"n": 5, "m": 5, "r": 2}
         zero = [e for c in list_cases() for _, e in descriptor_for(c).linear_factors
@@ -308,6 +352,63 @@ class TestFormulaCharpoly:
             assert formula_charpoly(desc, 2, True, True, f) == formula_charpoly(desc, 2, 1, 1, f)
             assert render_formula_instantiated(desc, 2, True, True) == \
                 render_formula_instantiated(desc, 2, 1, 1)
+
+
+class TestRoutes:
+    """formula_charpoly evaluates at lam = 2^K when K, its bound's bit length plus a sign
+    bit, is at most _KRONECKER_MAX_BITS, and multiplies polynomials above it."""
+
+    @pytest.mark.parametrize("graphs", [[g for _, g in default_corpus()], regression_corpus()],
+                             ids=["default-corpus", "regression-corpus"])
+    def test_routes_agree(self, monkeypatch, graphs):
+        calls = [call for g in graphs for call in all_cases(g)]
+        polynomial, poly_reads, kronecker, kronecker_reads = on_routes(monkeypatch, calls)
+        assert polynomial == kronecker
+        assert all(isinstance(p, IntPoly) for p in polynomial)
+        assert (poly_reads, kronecker_reads) == (0, len(calls))
+
+    def test_published_variants_fail_alike(self, monkeypatch):
+        # TestPublishedVariantsFail's printed forms, and a denominator that does not divide
+        k3, c4, k4 = complete_graph(3), cycle_graph(4), complete_graph(4)
+        desc = {c: descriptor_for(case(c)) for c in ("0-0", "--0", "-1+", "10-", "-+0", "-00")}
+        variants = [
+            (k3, replace(desc["0-0"], sign_exponent="n - 1")),
+            (k3, replace(desc["--0"], sign_exponent="1")),
+            (c4, replace(desc["-1+"], eig_factor="(lam - m)*(lam - n + r + 2 - q) - q")),
+            (k3, replace(desc["10-"], prefactor="(lam - n + 2)*(lam - 2*n + m + r + 2) + (2*r - m)*n - 2*r")),
+            (k4, replace(desc["-+0"], linear_factors=tuple(
+                pair for pair in desc["-+0"].linear_factors if pair[0] != "2*r - 4"))),
+            (k3, replace(desc["-00"], linear_factors=(("n - 2*r", "-1"),) + desc["-00"].linear_factors[1:])),
+        ]
+        calls = [lambda g=g, d=d: formula_charpoly(d, g.n, g.m, regularity(g), fpoly(g)) for g, d in variants]
+        polynomial, _, kronecker, _ = on_routes(monkeypatch, calls)
+        assert polynomial == kronecker
+        assert [type(p) for p in polynomial[4:]] == [tuple, tuple]
+        assert polynomial[4][0] is DegreeMismatch and polynomial[5][0] is NotDivisible
+
+    def test_route_follows_the_constant(self, monkeypatch):
+        # on C51, K is 339 for +++ and 682 for 111: either side of the constant; a constant
+        # one below K moves a case to the polynomial route, and one at K to the Kronecker route
+        calls = dict(zip(map(str, list_cases()), all_cases(cycle_graph(51))))
+        reads, plain = [], formulas.signed_digits
+        monkeypatch.setattr(formulas, "signed_digits", lambda v, k: reads.append(k) or plain(v, k))
+        results = {}
+        for limit, c, read in ((None, "+++", [339]), (None, "111", []), (338, "+++", []), (682, "111", [682])):
+            if limit is not None:
+                monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", limit)
+            results.setdefault(c, []).append(calls[c]())
+            assert reads == read, (limit, c)
+            reads.clear()
+        assert all(a == b for a, b in results.values())
+
+    def test_reduced_qpoly_once_per_graph(self, monkeypatch):
+        # the eigen-factor cases share one reduced polynomial per (f, r)
+        exactpoly.reduced_qpoly.cache_clear()
+        divisions, plain = [], exactpoly.exact_div
+        monkeypatch.setattr(exactpoly, "exact_div", lambda a, b: divisions.append(b) or plain(a, b))
+        for call in all_cases(petersen_graph()):
+            call()
+        assert divisions.count(IntPoly.linear_root(6)) == 1
 
 
 NAMES = ("n", "m", "r", "lam", "q")

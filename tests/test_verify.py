@@ -2,14 +2,15 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, compose_linear
-from xyzspectra import verify
-from xyzspectra.formulas import descriptor_for
+from xyzspectra import formulas, verify
+from xyzspectra.formulas import descriptor_for, formula_charpoly, list_cases
 from xyzspectra.graph import (
     Graph,
     circulant_graph,
@@ -290,3 +291,16 @@ def test_all_cases_match_on_random_regular_graphs(g):
     rep = run_corpus([("g", g)])
     assert len(rep.results) == 64
     assert rep.failures == ()
+
+
+@seed(20130102)
+@settings(max_examples=20, deadline=None)
+@given(regular_graphs())
+def test_routes_agree_on_random_regular_graphs(g):
+    # the graphs above on both routes of formula_charpoly: every K is above 0 and below 10**9
+    f, r = charpoly(signless_laplacian(g)), regularity(g)
+    results = []
+    for limit in (0, 10**9):
+        with mock.patch.object(formulas, "_KRONECKER_MAX_BITS", limit):
+            results.append([formula_charpoly(descriptor_for(c), g.n, g.m, r, f) for c in list_cases()])
+    assert results[0] == results[1]
