@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 irregular input graph, 4 formula evaluation error.  An edgeless input
 graph exits 2 from transform, formula and verify; charpoly accepts it.
-gen exits 2, before building anything, when the graph's n + m would
-exceed graph.MAX_HEADER_ORDER (1000), the limit every edge-list header
-obeys.  verify exits 2, before any charpoly, when n + m exceeds
+gen and transform exit 2, before building anything, when the graph they
+would write has n + m above graph.MAX_HEADER_ORDER (1000), the limit every
+edge-list header obeys.  verify exits 2, before any charpoly, when n + m exceeds
 MAX_VERIFY_ORDER (100); formula keeps only the header limit.  An input
 file that cannot be read, decoded as UTF-8 or parsed, or an output file
 that cannot be written, exits 2 with one "<cmd>: ..." stderr line; corpus
@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 
+from . import graph
 from .exactpoly import DegreeMismatch, NotDivisible, charpoly
 from .formulas import (
     descriptor_for,
@@ -31,7 +32,7 @@ from .formulas import (
 )
 from .graph import Graph, GraphError, format_edge_list, generate, parse_edge_list, regularity
 from .linalg import adjacency, laplacian, signless_laplacian
-from .transform import XyzCase, xyz_transform
+from .transform import XyzCase, transform_size, xyz_transform
 from .verify import default_corpus, report_to_json, run_corpus
 
 EXIT_OK = 0
@@ -40,9 +41,9 @@ EXIT_USAGE = 2
 EXIT_IRREGULAR = 3
 EXIT_FORMULA = 4
 
-# verify --all takes 64 oracle charpolys of order n + m: about 1 min in all for C50 (n + m = 100)
-# on a 2-core x86-64 host, 5 min for C75 (150), and the slowest case (-0-: 4 s, 14 s, 95 s at
-# N = 100, 150, 200) grows faster than N^3, so a header near 1000 would keep it busy for days.
+# verify --all takes 64 oracle charpolys of order n + m: 24 s in all for C50 (n + m = 100) on a
+# 2-core x86-64 host, 162 s for C75 (150) and 736 s for C100 (200); the slowest case (1.6 s, 12 s,
+# 45 s) grows faster than N^3, so a header near 1000 would keep it busy for days.
 MAX_VERIFY_ORDER = 100
 
 _MATRICES = {"A": adjacency, "L": laplacian, "Q": signless_laplacian}
@@ -96,6 +97,8 @@ def cmd_transform(args) -> int:
     g, r = _load_regular("transform", args.input)
     if g is None:
         return r
+    if (order := sum(transform_size(g, case))) > (limit := graph.MAX_HEADER_ORDER):
+        return _fail(EXIT_USAGE, f"transform: n + m = {order} of case {case} exceeds the limit {limit}")
     _emit(format_edge_list(xyz_transform(g, case)), args.out)
     return EXIT_OK
 

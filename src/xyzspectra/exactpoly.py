@@ -1,8 +1,8 @@
 """Exact polynomial arithmetic over the integers.
 
 The computational kernel: integer univariate and bivariate polynomials, characteristic
-polynomials and determinants of integer matrices (modulo one prime above Hadamard's
-bound), and products of a bivariate factor over the roots of a monic polynomial (one
+polynomials and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's
+bound, e prime), and products of a bivariate factor over the roots of a monic polynomial (one
 resultant over Z[x]), with a bound on their l1 norm and their value at one integer
 point (the same resultant loop over Z).  A bivariate polynomial is stored as its
 coefficients in the second variable, univariate polynomials in the first: the layout
@@ -12,9 +12,11 @@ Constructors take ints only, and operator results are canonical by construction.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import lru_cache
+from itertools import count
 from math import isqrt, prod
-from operator import index
+from operator import index, mul
 
 from .linalg import IntMatrix, NotSquare
 
@@ -385,31 +387,34 @@ def _bipoly(cols: list) -> BiPoly:
 # ----------------------------------------------------------------------------
 
 
-# 2^e - 1 is prime (Lucas-Lehmer); a graph's B <= (N + 2)^N < 2^11212 for N <= MAX_HEADER_ORDER.
-_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
-
-
 def charpoly(mat: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(x*I - M), monic of degree dim(M).
 
     Hadamard's bound on each principal k-minor gives |c_(N-k)| <= e_k(|row_i|) <= B =
-    prod_i (2 + isqrt(sum_j a_ij^2)).  Modulo p, the least tabulated Mersenne prime above
-    2B, a similarity pivoting on any nonzero entry below the subdiagonal makes M upper
-    Hessenberg; its recurrence gives the coefficients, lifted to (-p/2, p/2) (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.2).  ValueError if no p fits.
+    prod_i (2 + isqrt(sum_j a_ij^2)).  Modulo p = 2^e - 1 > 2B, e the least prime above bits(B),
+    a similarity pivoting on any nonzero entry below the subdiagonal makes M upper Hessenberg;
+    its recurrence gives the coefficients, lifted to (-p/2, p/2) (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2).  p need not be prime while every pivot is a
+    unit; each prime factor of 2^e - 1 is 1 mod 2e, so a pivot that is not is rare, pow raises
+    ValueError on it, and the next prime e is tried.
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
-    bits = prod(2 + isqrt(sum(x * x for x in row)) for row in mat.entries).bit_length()
-    if bits >= _MERSENNE[-1]:
-        raise ValueError("charpoly: entries too large for the tabulated primes")
-    p = next(2**e - 1 for e in _MERSENNE if e > bits)  # 2^e - 1 > 2B iff e > bits(B)
-    n, h = mat.rows, [[x % p for x in row] for row in mat.entries]
+    bits = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
+    for e in (k for k in count(bits + 1) if all(k % d for d in range(2, isqrt(k) + 1))):
+        with suppress(ValueError):  # a pivot shares a factor with 2^e - 1: try the next e
+            return _charpoly_mod(mat.entries, (1 << e) - 1)
+
+
+def _charpoly_mod(rows, p: int) -> IntPoly:
+    """charpoly of the square rows modulo p, lifted; ValueError when a pivot is not a unit."""
+    n, h = len(rows), [[x % p for x in row] for row in rows]
     for k in range(1, n - 1):
         piv = next((i for i in range(k, n) if h[i][k - 1]), k)
-        h[k], h[piv] = h[piv], h[k]
-        for row in h:
-            row[k], row[piv] = row[piv], row[k]
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
         inv = pow(h[k][k - 1] or 1, -1, p)  # an all-zero column leaves every t at 0
         for i in range(k + 1, n):
             if t := h[i][k - 1] * inv % p:  # row_i -= t*row_k, col_k += t*col_i
@@ -423,8 +428,9 @@ def charpoly(mat: IntMatrix) -> IntPoly:
         for i in range(k - 1, -1, -1):
             if not (t := t * h[i + 1][i] % p):
                 break
-            for j, c in enumerate(polys[i]):
-                new[j] -= h[i][k] * t * c
+            if s := h[i][k] * t % p:
+                for j, c in enumerate(polys[i]):
+                    new[j] -= s * c
         polys.append([c % p for c in new])
     return _intpoly([c - p if c > p // 2 else c for c in polys[n]])
 

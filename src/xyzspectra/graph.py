@@ -95,9 +95,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
-
 
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a graph from int pairs (TypeError otherwise); the input order is the edge order."""
@@ -236,13 +233,8 @@ def generate(kind: str, params: list[int] | None = None) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; edges in lexicographic order."""
-    present = g._edge_set()
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in present
-    ]
+    present = {(u, v) if u < v else (v, u) for u, v in g.edges}
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
     return Graph(g.n, tuple(edges))
 
 

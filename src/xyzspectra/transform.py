@@ -12,10 +12,11 @@ non-incident pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import EmptyEdgeSet, Graph, InvalidParameter, complement, complete_graph, line_graph
 
-__all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform"]
+__all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
 SYMBOLS = ("0", "1", "+", "-")
 
@@ -66,11 +67,15 @@ def cross_edges(g: Graph, z: str) -> list[tuple[int, int]]:
         return []
     if z == "1":
         return [(v, j) for v in range(g.n) for j in range(g.m)]
-    if z == "+":
-        return [(v, j) for v in range(g.n) for j, e in enumerate(g.edges) if v in e]
-    if z == "-":
-        return [(v, j) for v in range(g.n) for j, e in enumerate(g.edges) if v not in e]
+    if z in ("+", "-"):
+        return [(v, j) for v in range(g.n) for j, e in enumerate(g.edges) if (v in e) == (z == "+")]
     raise InvalidParameter(f"unknown cross symbol {z!r}")
+
+
+@lru_cache(maxsize=1)
+def _parts(g: Graph) -> dict:
+    """The last graph's parts by key ("L", "x+", "y-", ...), so its 64 cases build each once."""
+    return {}
 
 
 def xyz_transform(g: Graph, case: XyzCase) -> Graph:
@@ -78,16 +83,27 @@ def xyz_transform(g: Graph, case: XyzCase) -> Graph:
 
     Vertices 0..n-1 are the original vertices in order; vertices n..n+m-1
     are the edges of g in canonical edge order.  The edge list concatenates
-    the vertex-part edges, the edge-part edges (shifted by n), and the
-    cross pairs.  Requires m >= 1: with no edges every case degenerates.
+    the vertex-part edges, the edge-part edges (shifted by n), and the cross
+    pairs, each built once per graph.  Requires m >= 1: with no edges every
+    case degenerates.
     """
     if g.m == 0:
         raise EmptyEdgeSet("transformation of an edgeless graph")
-    n = g.n
-    vpart = part_graph(g, case.x).edges
-    epart = part_graph(line_graph(g) if case.y in "+-" else Graph(g.m, ()), case.y).edges
-    cross = cross_edges(g, case.z)
-    edges = list(vpart)
-    edges.extend((n + a, n + b) for a, b in epart)
-    edges.extend((v, n + j) for v, j in cross)
-    return Graph(n + g.m, tuple(edges))
+    n, memo = g.n, _parts(g)
+
+    def part(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+    edges = part("x" + case.x, lambda: part_graph(g, case.x).edges)
+    line = part("L", lambda: line_graph(g)) if case.y in "+-" else Graph(g.m, ())
+    edges += part("y" + case.y, lambda: tuple((n + a, n + b) for a, b in part_graph(line, case.y).edges))
+    edges += part("z" + case.z, lambda: tuple((v, n + j) for v, j in cross_edges(g, case.z)))
+    return Graph(n + g.m, edges)
+
+
+def transform_size(g: Graph, case: XyzCase) -> tuple[int, int]:
+    """Vertex and edge counts of xyz_transform(g, case), from n, m and the degrees, unbuilt."""
+    n, m, line = g.n, g.m, sum(d * (d - 1) // 2 for d in g.degrees())
+    parts = zip(str(case), (n * (n - 1) // 2, m * (m - 1) // 2, n * m), (m, line, 2 * m))
+    return n + m, sum({"0": 0, "1": full, "+": own, "-": full - own}[s] for s, full, own in parts)

@@ -201,17 +201,12 @@ def default_corpus() -> list[tuple[str, Graph]]:
     Degrees range from 2 to 5; the set mixes bipartite with non-bipartite
     and m = n with m > n.
     """
-    graphs: list[tuple[str, Graph]] = []
-    for k in range(3, 9):
-        graphs.append((f"C{k}", cycle_graph(k)))
-    for k in range(3, 7):
-        graphs.append((f"K{k}", complete_graph(k)))
-    for a in range(2, 5):
-        graphs.append((f"K{a}{a}", complete_bipartite_graph(a)))
-    graphs.append(("petersen", petersen_graph()))
-    graphs.append(("Q3", hypercube_graph(3)))
-    graphs.append(("C8_12", circulant_graph(8, [1, 2])))
-    return graphs
+    return [
+        *((f"C{k}", cycle_graph(k)) for k in range(3, 9)),
+        *((f"K{k}", complete_graph(k)) for k in range(3, 7)),
+        *((f"K{a}{a}", complete_bipartite_graph(a)) for a in range(2, 5)),
+        ("petersen", petersen_graph()), ("Q3", hypercube_graph(3)), ("C8_12", circulant_graph(8, [1, 2])),
+    ]
 
 
 # ----------------------------------------------------------------------------

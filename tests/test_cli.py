@@ -10,9 +10,12 @@ import pytest
 
 from xyzspectra import cli, graph
 from xyzspectra.exactpoly import charpoly
+from xyzspectra.formulas import list_cases
 from xyzspectra.graph import complete_graph, format_edge_list, from_edge_list, parse_edge_list
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.graph import cycle_graph
+from xyzspectra.transform import xyz_transform
+from xyzspectra.verify import default_corpus
 
 
 @pytest.fixture
@@ -124,6 +127,47 @@ class TestTransform:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"{argv[0]}: header n + m = 6 exceeds the limit 5\n"
+
+
+    def test_output_above_the_header_limit_refused_unbuilt(self, tmp_path, monkeypatch, capsys):
+        # 111 of C51 is K102: n + m = 102 + 5151 = 5253, a header no reader accepts
+        src, out = tmp_path / "c51.g", tmp_path / "t.g"
+        src.write_text(format_edge_list(cycle_graph(51)))
+        monkeypatch.setattr(cli, "xyz_transform", None)  # refused before any building
+        assert cli.main(["transform", str(src), "--case", "111", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "transform: n + m = 5253 of case 111 exceeds the limit 1000\n"
+
+    def test_header_limit_is_inclusive(self, k3_file, monkeypatch, capsys):
+        # 111 of K3 is K6: n + m = 6 + 15 = 21
+        monkeypatch.setattr(graph, "MAX_HEADER_ORDER", 21)
+        assert cli.main(["transform", k3_file, "--case", "111"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(graph, "MAX_HEADER_ORDER", 20)
+        assert cli.main(["transform", k3_file, "--case", "111"]) == 2
+        assert capsys.readouterr().err == "transform: n + m = 21 of case 111 exceeds the limit 20\n"
+
+
+# gen arguments that build each corpus graph
+CORPUS_GEN = {
+    **{f"C{k}": ["cycle", str(k)] for k in range(3, 9)},
+    **{f"K{k}": ["complete", str(k)] for k in range(3, 7)},
+    **{f"K{a}{a}": ["complete_bipartite", str(a)] for a in range(2, 5)},
+    "petersen": ["petersen"], "Q3": ["hypercube", "3"], "C8_12": ["circulant", "8", "1", "2"],
+}
+
+
+def test_written_files_parse_back(tmp_path):
+    # every file gen and transform write for the corpus graphs is one the CLI reads
+    for gid, g in default_corpus():
+        path = tmp_path / f"{gid}.g"
+        assert cli.main(["gen", *CORPUS_GEN[gid], "--out", str(path)]) == 0
+        assert parse_edge_list(path.read_text()) == g
+        for case in list_cases():
+            out = tmp_path / "t.g"
+            assert cli.main(["transform", str(path), f"--case={case}", "--out", str(out)]) == 0
+            assert parse_edge_list(out.read_text()) == xyz_transform(g, case), (gid, str(case))
 
 
 class TestCharpoly:

@@ -1,6 +1,6 @@
 """The exact polynomial kernel, checked against independent brute force.
 
-The characteristic polynomial (Hessenberg reduction modulo one prime in
+The characteristic polynomial (Hessenberg reduction modulo one 2^e - 1 in
 production) is cross-checked by expanding det(x*I - M) as a signed sum over
 permutations (an O(n!) oracle that shares no code with the production path),
 against Berkowitz's division-free recurrence over Z, and against Bareiss
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from xyzspectra import exactpoly
 from xyzspectra.exactpoly import (
     BiPoly,
     IntPoly,
@@ -382,8 +383,8 @@ class TestCharpoly:
 
     def test_ladder_sized_q_needs_a_prime_above_2_127(self):
         # the +++ transform of C16(1,3), N = 48 as on the benchmark's ladder:
-        # its Hadamard bound has 160 bits, so p = 2^521 - 1, and its
-        # coefficients reach 147 bits, beyond any smaller tabulated prime
+        # its Hadamard bound has 160 bits, so the modulus is 2^163 - 1, and
+        # its coefficients reach 147 bits
         q = signless_laplacian(xyz_transform(circulant_graph(16, [1, 3]), XyzCase.parse("+++")))
         assert prod(2 + isqrt(sum(x * x for x in row)) for row in q.entries).bit_length() > 127
         got = charpoly(q)
@@ -401,14 +402,40 @@ class TestCharpoly:
         assert charpoly(mat) == brute_charpoly(mat) == berkowitz_charpoly(mat)
 
     def test_tabulated_prime_boundaries(self):
-        # B = 2^60 + 2 has 61 bits, so p = 2^89 - 1: the prime 2^61 - 1 is
-        # above B but not above 2B, and would lift -2^60 to 2^60 - 1
+        # B = 2^60 + 2 has 61 bits, so e = 67: e = 61 would give 2^61 - 1, which
+        # is above B but not above 2B, and would lift -2^60 to 2^60 - 1
         for a in (2**60, -2**60):
             assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
-        big = 2**11211  # the largest tabulated prime, 2^11213 - 1, still fits
+        big = 2 * 2**11211  # no ceiling: B = 2^11212 + 2 takes e = 11239
         assert charpoly(IntMatrix.from_rows([[big]])) == IntPoly.linear_root(big)
-        with pytest.raises(ValueError):
-            charpoly(IntMatrix.from_rows([[2 * big]]))
+
+    def test_modulus_one_bit_above_the_bound(self, monkeypatch):
+        # B = 2^60 - 1 has 60 bits and 61 is prime, so p = 2^61 - 1 = 2B + 1, the least
+        # modulus that lifts every |c| <= B; +-(2^60 - 3) lift exactly
+        moduli = _record_moduli(monkeypatch)
+        for a in (2**60 - 3, 3 - 2**60):
+            assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
+        assert moduli == [2**61 - 1] * 2
+
+    def test_non_unit_pivot_retries_at_the_next_prime(self, monkeypatch):
+        # B = 3 * 25 * 5 has 9 bits, so e = 11 and p = 2047 = 23 * 89: the pivot 23 has
+        # no inverse mod p, and the retry at e = 13 gives the exact polynomial
+        moduli = _record_moduli(monkeypatch)
+        mat = IntMatrix.from_rows([[1, 0, 0], [23, 2, 0], [1, 0, 3]])
+        assert charpoly(mat) == from_roots(1, 2, 3) == berkowitz_charpoly(mat)
+        assert moduli == [2**11 - 1, 2**13 - 1]
+
+
+def _record_moduli(monkeypatch) -> list:
+    """The moduli charpoly reduces by, in order, recorded while the test runs."""
+    moduli, kernel = [], exactpoly._charpoly_mod
+
+    def recording(rows, p):
+        moduli.append(p)
+        return kernel(rows, p)
+
+    monkeypatch.setattr(exactpoly, "_charpoly_mod", recording)
+    return moduli
 
 
 class TestDet:

@@ -18,7 +18,7 @@ from xyzspectra.graph import (
     petersen_graph,
 )
 from xyzspectra.formulas import list_cases
-from xyzspectra.transform import XyzCase, cross_edges, part_graph, xyz_transform
+from xyzspectra.transform import XyzCase, cross_edges, part_graph, transform_size, xyz_transform
 from xyzspectra.verify import default_corpus, run_corpus
 
 # SHA-256 of the edge lists of all 64 transforms of K4, the Petersen graph and C5, in that order
@@ -145,7 +145,7 @@ class TestTransform:
         assert hashlib.sha256(blob.encode()).hexdigest() == TRANSFORMS_SHA256
 
     def test_line_graph_only_for_y_plus_or_minus(self, monkeypatch):
-        # y = 0 and y = 1 read only m, so 32 of the 64 cases build the line graph
+        # y = 0 and y = 1 read only m; the 32 cases with y = + or - share one line graph
         calls = []
 
         def counting(g):
@@ -153,14 +153,57 @@ class TestTransform:
             return line_graph(g)
 
         monkeypatch.setattr(transform, "line_graph", counting)
-        assert run_corpus([("K4", complete_graph(4))]).all_match
-        assert len(calls) == 32
+        transform._parts.cache_clear()
+        k4, c5 = complete_graph(4), cycle_graph(5)
+        assert run_corpus([("K4", k4), ("C5", c5)]).all_match
+        assert calls == [k4, c5]
 
     def test_irregular_input_accepted(self):
         # construction does not require regularity
         p3 = from_edge_list(3, [(0, 1), (1, 2)])
         t = xyz_transform(p3, case("00+"))
         assert t.n == 5
+
+
+# r = 1 with m < n, and an irregular path, beside a clique and a cycle
+CACHE_GRAPHS = {
+    "K4": complete_graph(4),
+    "C5": cycle_graph(5),
+    "3K2": from_edge_list(6, [(0, 1), (2, 3), (4, 5)]),
+    "P3": from_edge_list(3, [(0, 1), (1, 2)]),
+}
+
+
+def fresh_transform(g, c):
+    """xyz_transform with no part kept from an earlier call."""
+    transform._parts.cache_clear()
+    return xyz_transform(g, c)
+
+
+class TestPartsCache:
+    @pytest.mark.parametrize("name", sorted(CACHE_GRAPHS))
+    def test_every_case_equals_a_fresh_build(self, name):
+        g = CACHE_GRAPHS[name]
+        cases = list_cases()
+        fresh = [fresh_transform(g, c) for c in cases]
+        transform._parts.cache_clear()
+        assert [xyz_transform(g, c) for c in cases] == fresh
+        assert [xyz_transform(g, c) for c in reversed(cases)] == fresh[::-1]
+
+    def test_alternating_graphs(self):
+        names = sorted(CACHE_GRAPHS)
+        fresh = {(a, c): fresh_transform(CACHE_GRAPHS[a], c) for a in names for c in list_cases()}
+        for a, b in zip(names, names[1:] + names[:1]):
+            for c in list_cases():
+                for name in (a, b):
+                    assert xyz_transform(CACHE_GRAPHS[name], c) == fresh[name, c], (name, str(c))
+
+    def test_size_without_building(self):
+        graphs = [g for _, g in default_corpus()] + list(CACHE_GRAPHS.values())
+        for g in graphs:
+            for c in list_cases():
+                t = xyz_transform(g, c)
+                assert transform_size(g, c) == (t.n, t.m), str(c)
 
 
 class TestDegreeDiagonals:
