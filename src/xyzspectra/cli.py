@@ -41,9 +41,9 @@ EXIT_USAGE = 2
 EXIT_IRREGULAR = 3
 EXIT_FORMULA = 4
 
-# verify --all takes 64 oracle charpolys of order n + m: 24 s in all for C50 (n + m = 100) on a
-# 2-core x86-64 host, 162 s for C75 (150) and 736 s for C100 (200); the slowest case (1.6 s, 12 s,
-# 45 s) grows faster than N^3, so a header near 1000 would keep it busy for days.
+# verify --all takes 64 oracle charpolys of order n + m: 17-21 s in all for C50 (n + m = 100) on a
+# 2-core x86-64 host, 147 s for C75 (150) and about 740 s for C100 (200); the slowest case (about
+# 1.2 s, 10 s, 45 s) grows faster than N^3, so a header near 1000 would keep it busy for days.
 MAX_VERIFY_ORDER = 100
 
 _MATRICES = {"A": adjacency, "L": laplacian, "Q": signless_laplacian}
@@ -196,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed([i for i, a in enumerate(argv[:-1]) if a == "--case"]):  # else -0- is an option
+        argv[i:i + 2] = [f"--case={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)

@@ -396,43 +396,57 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     its recurrence gives the coefficients, lifted to (-p/2, p/2) (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2).  p need not be prime while every pivot is a
     unit; each prime factor of 2^e - 1 is 1 mod 2e, so a pivot that is not is rare, pow raises
-    ValueError on it, and the next prime e is tried.
+    ValueError on it, and the next prime e is tried.  The recurrence packs a block's charpoly in
+    W-bit slots, W = 2e + bits(N + 1), each in [0, p] (p is a redundant 0).  A step adds at most
+    k + 2 <= N + 1 terms under 2^(2e) into a slot (a slot, or one times p - h[k][k] or
+    p - h[i][k]*t in [1, p]), so no slot carries; adding each slot's bits from e up back in at bit
+    0 (2^e = 1 mod p) until none are left puts it in [0, p] again.  When column k - 1 is zero from
+    row k down, h[k][k-1] = 0 ends every later step's product t at i = k - 1, so no row above k is
+    read in a column from k on, and the reduction skips those entries.
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
-    bits = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
-    for e in (k for k in count(bits + 1) if all(k % d for d in range(2, isqrt(k) + 1))):
-        with suppress(ValueError):  # a pivot shares a factor with 2^e - 1: try the next e
-            return _charpoly_mod(mat.entries, (1 << e) - 1)
+    e = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
+    while True:  # e goes from bits(B) to the least prime above it, then to the next prime
+        with suppress(ValueError):  # when a pivot shares a factor with 2^e - 1
+            return _charpoly_mod(mat.entries, (1 << (e := _prime_above(e))) - 1)
+
+
+@lru_cache(maxsize=None)  # keyed by bit lengths of bounds: a few dozen in a long run
+def _prime_above(k: int) -> int:
+    return next(q for q in count(k + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
 
 
 def _charpoly_mod(rows, p: int) -> IntPoly:
-    """charpoly of the square rows modulo p, lifted; ValueError when a pivot is not a unit."""
-    n, h = len(rows), [[x % p for x in row] for row in rows]
+    """charpoly of the square rows modulo p = 2^e - 1, lifted; ValueError when a pivot is not a unit."""
+    n, h, s = len(rows), [[x % p for x in row] for row in rows], 0
     for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if h[i][k - 1]), k)
-        if piv != k:
+        if not (nz := [i for i in range(k, n) if h[i][k - 1]]):
+            s = k  # deflation: see charpoly
+        elif (piv := nz[0]) != k:
             h[k], h[piv] = h[piv], h[k]
-            for row in h:
+            for row in h[s:]:
                 row[k], row[piv] = row[piv], row[k]
-        inv = pow(h[k][k - 1] or 1, -1, p)  # an all-zero column leaves every t at 0
-        for i in range(k + 1, n):
-            if t := h[i][k - 1] * inv % p:  # row_i -= t*row_k, col_k += t*col_i
-                h[i] = [(x - t * y) % p for x, y in zip(h[i], h[k])]
-                for row in h:
-                    row[k] = (row[k] + t * row[i]) % p
-    polys = [[1]]  # ascending charpolys of the leading k x k blocks, mod p
-    for k in range(n):
-        new = [d - h[k][k] * c for c, d in zip(polys[k] + [0], [0] + polys[k])]
+        inv = pow(h[k][k - 1], -1, p) if nz[1:] else 0  # only with a row to eliminate
+        for i in nz[1:]:  # row_i -= t*row_k from column k (column k - 1 is not read again)
+            t = h[i][k - 1] * inv % p
+            h[i][k:] = [(x - t * y) % p for x, y in zip(h[i][k:], h[k][k:])]
+            for row in h[s:]:  # col_k += t*col_i
+                row[k] = (row[k] + t * row[i]) % p
+    w = 2 * (e := p.bit_length()) + (n + 1).bit_length()
+    lo, polys = ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) * p, [1]  # p = 2^e - 1 in each slot
+    for k in range(n):  # polys[k] is the leading k x k block's charpoly, packed
+        v = (polys[k] << w) + (p - h[k][k]) * polys[k]
         t = 1  # h[i+1][i] * ... * h[k][k-1]
         for i in range(k - 1, -1, -1):
             if not (t := t * h[i + 1][i] % p):
                 break
-            if s := h[i][k] * t % p:
-                for j, c in enumerate(polys[i]):
-                    new[j] -= s * c
-        polys.append([c % p for c in new])
-    return _intpoly([c - p if c > p // 2 else c for c in polys[n]])
+            if c := h[i][k] * t % p:
+                v += (p - c) * polys[i]
+        while top := (v - (r := v & lo)) >> e:  # each slot's bits from e up, moved to bit 0
+            v = r + top
+        polys.append(v)
+    return _intpoly([c - p if c > p // 2 else c for c in (polys[n] >> w * j & p for j in range(n + 1))])
 
 
 def det(mat: IntMatrix) -> int:

@@ -170,6 +170,32 @@ def test_written_files_parse_back(tmp_path):
             assert parse_edge_list(out.read_text()) == xyz_transform(g, case), (gid, str(case))
 
 
+MINUS_CASES = [str(case) for case in list_cases() if str(case).startswith("-")]
+
+
+@pytest.mark.parametrize("cmd", ["transform", "formula", "verify"])
+def test_cases_beginning_with_minus(cmd, c4_file, capsys):
+    # argparse alone reads "--case -0-" as an option with no value; both spellings must work
+    assert len(MINUS_CASES) == 16
+    for case in MINUS_CASES:
+        outs = []
+        for selector in (["--case", case], [f"--case={case}"]):
+            assert cli.main([cmd, c4_file, *selector]) == 0, (case, selector)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        if cmd == "verify":
+            assert outs[0] == f"PASS {case}\n"
+
+
+def test_case_value_missing_still_exits_2(c4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", c4_file, "--case"])
+    assert exc.value.code == 2
+    assert "--case: expected one argument" in capsys.readouterr().err
+
+
 class TestCharpoly:
     def test_k3_q(self, k3_file, capsys):
         assert cli.main(["charpoly", k3_file]) == 0

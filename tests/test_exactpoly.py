@@ -810,6 +810,48 @@ def test_charpoly_matches_references(mat):
 
 
 @st.composite
+def permuted_block_triangular(draw):
+    """Block upper triangular integer matrices of size 1-12 with about half their entries
+    zero, under a drawn permutation similarity.  A leading block that holds e_0 is an
+    invariant subspace the reduction closes early: a column with nothing at or below the
+    subdiagonal moves the deflation index, and the recurrence stops at its zero."""
+    n = draw(st.integers(1, 12))
+    starts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    block = [sum(s <= i for s in starts) for i in range(n)]
+    flat = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n * n, max_size=n * n))
+    rows = [[flat[i * n + j] if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return IntMatrix.from_rows([[rows[a][b] for b in perm] for a in perm])
+
+
+@seed(20240517)
+@settings(max_examples=200, deadline=None)
+@given(permuted_block_triangular())
+def test_charpoly_of_permuted_block_triangular_matches_bareiss(mat):
+    expected = bareiss_charpoly(mat)
+    assert charpoly(mat) == expected
+    # at the Mersenne primes 3, 7, 31 and 127 (entries reach 9, above the first two, and go
+    # negative) a slot often folds to the redundant value p, which the lift must read as 0
+    for p in (3, 7, 31, 127):
+        got = exactpoly._charpoly_mod(mat.entries, p).coeffs
+        assert [c % p for c in got] == [c % p for c in expected.coeffs], p
+
+
+def test_widest_slot_sum_does_not_carry():
+    # Hessenberg already, with 0 on the diagonal, 1 on the subdiagonal, row 0 zero and 1
+    # above the diagonal elsewhere: at p = 127 the constant slot of every leading block's
+    # charpoly from the 1 x 1 block's on holds the redundant 127, and the last step sums
+    # 127 * 127 + 32 * 126 * 127 = 528193 > 2^19 there: all W = 2e + bits(N + 1) = 20 bits
+    n, p = 34, 127
+    mat = IntMatrix.from_rows(
+        [[1 if i == j + 1 or 0 < i < j else 0 for j in range(n)] for i in range(n)]
+    )
+    got = exactpoly._charpoly_mod(mat.entries, p).coeffs
+    assert [c % p for c in got] == [c % p for c in berkowitz_charpoly(mat).coeffs]
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+
+
+@st.composite
 def signed_digit_polys(draw):
     """(k, IntPoly) with every coefficient in [-2^(k-1), 2^(k-1)): the ends, zero and
     +-(2^(k-1) - 1) drawn often."""
