@@ -4,16 +4,17 @@ The computational kernel: integer univariate and bivariate polynomials, characte
 polynomials and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's
 bound, e prime), and products of a bivariate factor over the roots of a monic polynomial (one
 resultant over Z[x]), with a bound on their l1 norm and their value at one integer
-point (the same resultant loop over Z).  A bivariate polynomial is stored as its
-coefficients in the second variable, univariate polynomials in the first: the layout
-the resultant in the second variable reads.  No floating point; every result is exact by a proven bound.
+point (the same resultant loop over Z).  One ring arithmetic serves both polynomial
+classes: IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over
+IntPoly in the first, the layout the resultant in the second variable reads.  No floating
+point; every result is exact by a proven bound.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from math import isqrt, prod
 from operator import index, mul
@@ -50,20 +51,85 @@ def _trim(cs: list) -> tuple:
     return tuple(cs)
 
 
-class IntPoly:
+class _Poly:
+    """A polynomial over the ring whose zero is the class's _zero; coeffs ascending, no trailing zero.
+
+    The ring arithmetic of IntPoly and BiPoly.  An int operand of +, - or * is a constant of
+    the ring; any other operand, the other polynomial class too, gives NotImplemented both
+    ways, so TypeError.  Results are built as type(self)."""
+
+    __slots__ = ("coeffs",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if type(other) is not (cls := type(self)):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = _poly(cls, [cls._zero + other])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(cls, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not type(self) and not isinstance(other, int):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return _poly(type(self), [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if type(other) is not (cls := type(self)):  # one test on the hot path, same class
+            if not isinstance(other, int):
+                return NotImplemented
+            return _poly(cls, [other * c for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = [cls._zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return _poly(cls, out)
+
+    __rmul__ = __mul__
+
+
+class IntPoly(_Poly):
     """Univariate integer polynomial; coefficients ascending, no trailing zeros.
 
     A coefficient that is not an int, such as 1.5 or "3", raises TypeError; so
     does an operand of +, - or * that is neither an IntPoly nor an int.  The zero
     polynomial is false and every other polynomial true."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = 0
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", _trim([index(c) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     @classmethod
     def zero(cls) -> IntPoly:
@@ -92,10 +158,6 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -104,58 +166,8 @@ class IntPoly:
         """The sum of |coefficient|: submultiplicative, and at least every |coefficient|."""
         return sum(map(abs, self.coeffs))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-    def __add__(self, other):
-        if not isinstance(other, IntPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = IntPoly.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _intpoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (IntPoly, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self) -> IntPoly:
-        return _intpoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPoly):  # one test on the hot path, IntPoly * IntPoly
-            if not isinstance(other, int):
-                return NotImplemented
-            return _intpoly([other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _intpoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> IntPoly:
         """Binary powering: floor(log2 k) + popcount(k) - 1 products for k >= 1, none wasted."""
@@ -183,7 +195,7 @@ class IntPoly:
 
     def pretty(self, var: str = "x") -> str:
         """Conventional display, highest power first: x^2 - 14*x + 40."""
-        return _bipoly([self]).pretty(var)
+        return _poly(BiPoly, [self]).pretty(var)
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -223,119 +235,60 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
     return f(IntPoly((b, a))) if f else f
 
 
-class BiPoly:
-    """Bivariate integer polynomial, stored by its coefficients in the second variable.
+class BiPoly(_Poly):
+    """Bivariate integer polynomial: a polynomial in the second variable v over IntPoly in the first, u.
 
     The two variables are abstract; callers bind them to (lambda, q) for
     per-eigenvalue factors or to the two arguments of a matrix polynomial.
-    The store holds the coefficients of v^0, v^1, ... as IntPoly in u, with no
-    trailing zero, so equal polynomials have equal stores and the resultant in
-    v reads it as it is.  grid[i][j] is the coefficient of u^i v^j, in ragged
+    coeffs holds the coefficients of v^0, v^1, ... as IntPoly in u, so the ring
+    arithmetic is _Poly's over IntPoly's, and the resultant in v reads coeffs as
+    it is.  grid[i][j] is the coefficient of u^i v^j, in ragged
     canonical rows: no row ends in a zero and the last row is not empty.  A
     coefficient that is not an int raises TypeError.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ()
+    _zero = IntPoly.zero()
 
     def __init__(self, grid=()):
         rows = [[index(c) for c in row] for row in grid]
         width = max(map(len, rows), default=0)
         cols = [_intpoly([row[j] if j < len(row) else 0 for row in rows]) for j in range(width)]
-        object.__setattr__(self, "_cols", _bipoly(cols)._cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+        object.__setattr__(self, "coeffs", _trim(cols))
 
     @classmethod
     def constant(cls, c: int) -> BiPoly:
-        return _bipoly([IntPoly.constant(c)])
+        return _poly(cls, [IntPoly.constant(c)])
 
     @classmethod
     def u(cls) -> BiPoly:
         """The first variable."""
-        return _bipoly([_intpoly([0, 1])])
+        return _poly(cls, [IntPoly.x()])
 
     @classmethod
     def v(cls) -> BiPoly:
         """The second variable."""
-        return _bipoly([_intpoly([]), _intpoly([1])])
+        return _poly(cls, [IntPoly.zero(), IntPoly.one()])
 
     @property
     def grid(self) -> tuple:
-        cols = [c.coeffs for c in self._cols]
+        cols = [c.coeffs for c in self.coeffs]
         return tuple(_trim([c[i] if i < len(c) else 0 for c in cols]) for i in range(self.deg_u + 1))
 
     @property
-    def is_zero(self) -> bool:
-        return not self._cols
-
-    @property
     def deg_u(self) -> int:
-        return max((c.degree for c in self._cols), default=-1)
+        return max((c.degree for c in self.coeffs), default=-1)
 
     @property
     def deg_v(self) -> int:
-        return len(self._cols) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self._cols == other._cols
-
-    def __hash__(self):
-        return hash(self._cols)
+        return len(self.coeffs) - 1
 
     def __repr__(self):
         return f"BiPoly({[list(r) for r in self.grid]})"
 
-    def _lift(self, other) -> BiPoly:
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, int):
-            return BiPoly.constant(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cols, other._cols
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return _bipoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> BiPoly:
-        return _bipoly([-c for c in self._cols])
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._cols, other._cols
-        out = [_intpoly([])] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return _bipoly(out)
-
-    __rmul__ = __mul__
-
     def eval_u(self, x: int) -> IntPoly:
         """Substitute an integer for the first variable; polynomial in the second."""
-        return _intpoly([c(x) for c in self._cols])
+        return _intpoly([c(x) for c in self.coeffs])
 
     def pretty(self, u: str = "x", v: str = "y") -> str:
         """Term-by-term display, u-major: x^2 - x*y + 3."""
@@ -365,21 +318,18 @@ class BiPoly:
         return " ".join(terms)
 
 
-_new, _set_coeffs, _set_cols = object.__new__, IntPoly.coeffs.__set__, BiPoly._cols.__set__
+_new, _set_coeffs = object.__new__, _Poly.coeffs.__set__
 
 
-def _intpoly(cs: list) -> IntPoly:
-    """The operators' constructor: wraps a list of ints, trimmed in place, unchecked."""
-    p = _new(IntPoly)
+def _poly(cls, cs: list):
+    """The operators' constructor: a cls on the list cs of its ring's elements (ints for
+    IntPoly, IntPoly for BiPoly), trimmed in place, unchecked."""
+    p = _new(cls)
     _set_coeffs(p, _trim(cs))
     return p
 
 
-def _bipoly(cols: list) -> BiPoly:
-    """The same for a list of IntPoly, the coefficients in v; trailing zeros are dropped."""
-    f = _new(BiPoly)
-    _set_cols(f, _trim(cols))
-    return f
+_intpoly = partial(_poly, IntPoly)  # IntPoly's, on the hot paths
 
 
 # ----------------------------------------------------------------------------
@@ -449,6 +399,7 @@ def _charpoly_mod(rows, p: int) -> IntPoly:
     return _intpoly([c - p if c > p // 2 else c for c in (polys[n] >> w * j & p for j in range(n + 1))])
 
 
+# No caller in src: benchmarks/tracing.py wraps it, and CI's traced smoke needs every wrapped name bound.
 def det(mat: IntMatrix) -> int:
     """Integer determinant: (-1)^N times the constant term of charpoly(M)."""
     return (-1) ** mat.rows * charpoly(mat).coeffs[0]
@@ -483,7 +434,7 @@ def resultant(a: BiPoly, b: BiPoly) -> IntPoly:
     The pseudo-remainder scales lazily: an entry takes its power of lc(B) when a
     step first writes it, not once per step, and h is updated only when read.
     """
-    return _subresultant(a._cols, b._cols, IntPoly.one(), exact_div)
+    return _subresultant(a.coeffs, b.coeffs, IntPoly.one(), exact_div)
 
 
 def _int_div(a: int, b: int) -> int:
@@ -542,14 +493,14 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
         raise ValueError("eig_product: p must be monic")
     if g.is_zero:
         raise ValueError("eig_product: g must be nonzero")
-    return resultant(_bipoly([_intpoly([c]) for c in p.coeffs]), g)
+    return resultant(_poly(BiPoly, [_intpoly([c]) for c in p.coeffs]), g)
 
 
 def eig_bound(p: IntPoly, g: BiPoly) -> int:
     """A bound on norm1(eig_product(p, g)), the Sylvester determinant's: each term takes one
     entry a_ij of each row, so norm1(det) <= prod_i sum_j norm1(a_ij), over deg_v(g) rows of
     p's coefficients and deg(p) rows of g's v-coefficients g_j."""
-    return p.norm1 ** g.deg_v * sum(c.norm1 for c in g._cols) ** p.degree
+    return p.norm1 ** g.deg_v * sum(c.norm1 for c in g.coeffs) ** p.degree
 
 
 def eig_value(p: IntPoly, g: BiPoly, x: int) -> int:

@@ -41,10 +41,11 @@ from math import prod
 from operator import index
 
 from .exactpoly import (
+    BiPoly,
     DegreeMismatch,
     IntPoly,
-    _bipoly,
     _intpoly,
+    _poly,
     compose_linear,
     eig_bound,
     eig_product,
@@ -387,7 +388,7 @@ def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
         except TypeError:
             raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
     sign, pre, linear, g, composed = eval(_compiled(desc), {"__builtins__": {}}, env)
-    return sign, _intpoly(pre), linear, g if g is None else _bipoly([_intpoly(c) for c in g]), composed
+    return sign, _intpoly(pre), linear, g if g is None else _poly(BiPoly, [_intpoly(c) for c in g]), composed
 
 
 # Above this K, padding coefficients to K bits costs more than polynomial products (CPython

@@ -288,8 +288,9 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise InvalidParameter(f"header must be two integers, got {lines[0]!r}")
-    if n + m > MAX_HEADER_ORDER:
-        raise InvalidParameter(f"header n + m = {n + m} exceeds the limit {MAX_HEADER_ORDER}")
+    if (total := n + m) > MAX_HEADER_ORDER:  # a sum of over 4300 digits has no str: not named
+        named = f" = {total}" if total < 10**100 else ""
+        raise InvalidParameter(f"header n + m{named} exceeds the limit {MAX_HEADER_ORDER}")
     body = lines[1:]
     if len(body) != m:
         raise InvalidParameter(f"expected {m} edge lines, found {len(body)}")

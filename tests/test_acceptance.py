@@ -31,18 +31,13 @@ from xyzspectra.verify import (
     run_corpus,
 )
 
+from helpers import from_roots
+
 
 def _announce(tag: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
     print(f"[{status}] {tag}{suffix}")
-
-
-def from_roots(*roots):
-    out = IntPoly.one()
-    for c in roots:
-        out = out * IntPoly.linear_root(c)
-    return out
 
 
 @pytest.fixture(scope="module")

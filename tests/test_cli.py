@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from xyzspectra import cli, graph
 from xyzspectra.exactpoly import charpoly
@@ -419,3 +423,71 @@ class TestOutputFailures:
                 os.close(w)
             assert proc.stderr == b""
             assert proc.returncode == 141
+
+
+# ----------------------------------------------------------------------------
+# Generated edge lists: every mutated input ends in a documented exit code.
+# ----------------------------------------------------------------------------
+
+BAD_TOKENS = ["x", "1.5", "0x3", "1e3", "-1", "0", "-0", "3.", "\u0663", "1_0", "\x00"]
+HUGE_TOKENS = [str(graph.MAX_HEADER_ORDER + 1), str(10**30), "9" * 4300, "9" * 5000]
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """The bytes of a small regular graph's edge list under up to four mutations: bad or
+    huge header tokens, a header of the wrong length, self-loops, duplicate and
+    out-of-range edges (counted in the header or not), non-int edge tokens, dropped
+    lines; then CRLF line ends, a BOM or a stray non-UTF-8 byte.  Or an empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return b""
+    g = draw(st.sampled_from([cycle_graph(4), complete_graph(3), complete_graph(4), cycle_graph(5)]))
+    head, edges = [str(g.n), str(g.m)], [[str(u), str(v)] for u, v in g.edges]
+    vertex = st.integers(0, g.n - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["head", "head", "head-len", "loop", "dup", "range", "token", "drop"]))
+        if kind == "head" and head:
+            head[draw(st.integers(0, len(head) - 1))] = draw(st.sampled_from(BAD_TOKENS + HUGE_TOKENS)
+                                                             | st.integers(-2, 12).map(str))
+        elif kind == "head-len":
+            head = draw(st.sampled_from([head[:1], head + ["1"], []]))
+        elif kind == "drop" and edges:
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        elif kind == "token" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = draw(
+                st.sampled_from(BAD_TOKENS + HUGE_TOKENS))
+        elif kind in ("loop", "dup", "range") and edges:
+            u = draw(vertex)
+            if kind == "loop":
+                edges.append([str(u), str(u)])
+            elif kind == "dup":
+                edges.append(draw(st.permutations(draw(st.sampled_from(edges)))))
+            else:
+                edges.append([str(u), str(draw(st.sampled_from([g.n, g.n + 1, -1, 10**30])))])
+            if draw(st.booleans()) and len(head) == 2 and head[1].isdigit() and len(head[1]) < 5:
+                head[1] = str(int(head[1]) + 1)  # counted in the header, so the edge itself is read
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(" ".join(t) for t in [head, *edges]) + "\n"
+    return draw(st.sampled_from([b""] * 4 + [b"\xef\xbb\xbf", b"\xff"])) + text.encode()
+
+
+@pytest.fixture(scope="module")
+def generated_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "g.g"
+
+
+@seed(20131018)
+@settings(max_examples=200, deadline=None)
+@example(data=b"9" * 4300 + b" 1\n0 1\n", command="charpoly", case="+++")  # n + m has 4301 digits
+@given(data=mutated_edge_lists(), command=st.sampled_from(["transform", "charpoly", "formula", "verify"]),
+       case=st.sampled_from([str(c) for c in list_cases()]))
+def test_generated_edge_lists_exit_cleanly(generated_file, data, command, case):
+    # an exit code in 0-4, one stderr line when it is not 0, and never a traceback
+    generated_file.write_bytes(data)
+    argv = [command, str(generated_file)] + ([] if command == "charpoly" else ["--case", case])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()

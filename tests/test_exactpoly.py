@@ -44,17 +44,12 @@ from xyzspectra.graph import circulant_graph, complete_graph, cycle_graph, peter
 from xyzspectra.linalg import IntMatrix, NotSquare, signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
 
+from helpers import from_roots
+
 
 def poly(*coeffs):
     """Ascending-coefficient literal."""
     return IntPoly(coeffs)
-
-
-def from_roots(*roots):
-    out = IntPoly.one()
-    for c in roots:
-        out = out * IntPoly.linear_root(c)
-    return out
 
 
 def brute_charpoly(mat):
@@ -638,13 +633,18 @@ class TestBiPoly:
         assert BiPoly([[1, 0], [0, 0]]).grid == ((1,),)
         assert (BiPoly.u() * BiPoly.u() + 1).grid == ((1,), (), (1,))
 
+    def test_equal_only_within_a_class(self):
+        # the two zeros share an empty coefficient tuple, yet are not equal
+        assert BiPoly() != IntPoly.zero() and IntPoly.zero() != BiPoly()
+        assert BiPoly.constant(3) != IntPoly.constant(3)
+
     def test_non_int_coefficients_rejected(self):
         for bad in ([[0.7, 2.2]], [[1], [2.0]], [["3"]], [[1, "2"]]):
             with pytest.raises(TypeError):
                 BiPoly(bad)
 
     def test_non_int_operands_rejected(self):
-        for bad in (1.5, None):
+        for bad in (1.5, None, IntPoly.x()):
             for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
                 with pytest.raises(TypeError):
                     op(BiPoly.u(), bad)
@@ -752,6 +752,20 @@ def test_operator_results_are_canonical(a_coeffs, b_coeffs, k, f_grid, g_grid):
         assert_canonical(p)
     assert (a + (-a)).coeffs == (a - a).coeffs == ()
     assert (f + (-f)).grid == (f - f).grid == ()
+
+
+@seed(19670108)
+@settings(max_examples=200, deadline=None)
+@given(small_grids, small_grids, st.integers(-3, 3), st.integers(-3, 3))
+def test_eval_u_is_a_ring_map(f_grid, g_grid, k, x):
+    # BiPoly's operators are the shared ones over IntPoly: substituting u = x commutes with each
+    f, g = BiPoly(f_grid), BiPoly(g_grid)
+    fx, gx = f.eval_u(x), g.eval_u(x)
+    pairs = [(f + g, fx + gx), (f - g, fx - gx), (f * g, fx * gx), (-f, -fx),
+             (f + k, fx + k), (k * f, k * fx), (k - f, k - fx)]
+    for got, expected in pairs:
+        assert type(got) is BiPoly and all(type(c) is IntPoly for c in got.coeffs)
+        assert got.eval_u(x) == expected
 
 
 @st.composite

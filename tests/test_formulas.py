@@ -35,21 +35,12 @@ from xyzspectra.graph import (
     regularity,
 )
 from xyzspectra.linalg import signless_laplacian
-from xyzspectra.transform import XyzCase, xyz_transform
+from xyzspectra.transform import xyz_transform
 from xyzspectra.verify import default_corpus
 
+from helpers import case, from_roots
+
 CORRECTED_CASES = {"0+0", "1+0", "++0", "-+0", "0-0", "1-0", "+-0", "--0", "-1+", "10-"}
-
-
-def case(s):
-    return XyzCase.parse(s)
-
-
-def from_roots(*roots):
-    out = IntPoly.one()
-    for c in roots:
-        out = out * IntPoly.linear_root(c)
-    return out
 
 
 def fpoly(g):

@@ -258,3 +258,8 @@ class TestEdgeListFormat:
         assert parse_edge_list("3 2\n0 1\n1 2\n").m == 2
         with pytest.raises(InvalidParameter, match="n \\+ m = 6 exceeds the limit 5"):
             parse_edge_list("3 3\n")
+
+    def test_header_sum_too_long_to_print(self):
+        # n + m has 4301 digits, past the length an int may have as a str: refused unnamed
+        with pytest.raises(InvalidParameter, match="^header n \\+ m exceeds the limit 1000$"):
+            parse_edge_list("9" * 4300 + " 1\n0 1\n")

@@ -18,15 +18,13 @@ from xyzspectra.graph import (
     petersen_graph,
 )
 from xyzspectra.formulas import list_cases
-from xyzspectra.transform import XyzCase, cross_edges, part_graph, transform_size, xyz_transform
+from xyzspectra.transform import cross_edges, part_graph, transform_size, xyz_transform
 from xyzspectra.verify import default_corpus, run_corpus
+
+from helpers import case
 
 # SHA-256 of the edge lists of all 64 transforms of K4, the Petersen graph and C5, in that order
 TRANSFORMS_SHA256 = "8015df7d2c653c8f8f91ec4d1562432100cd944a0220ef02a604a91b1221dc42"
-
-
-def case(s):
-    return XyzCase.parse(s)
 
 
 def edge_key_set(g):

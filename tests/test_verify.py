@@ -22,7 +22,6 @@ from xyzspectra.graph import (
     regularity,
 )
 from xyzspectra.linalg import signless_laplacian
-from xyzspectra.transform import XyzCase
 from xyzspectra.verify import (
     CorpusReport,
     PreconditionViolated,
@@ -36,16 +35,7 @@ from xyzspectra.verify import (
     verify_case,
 )
 
-
-def case(s):
-    return XyzCase.parse(s)
-
-
-def from_roots(*roots):
-    out = IntPoly.one()
-    for c in roots:
-        out = out * IntPoly.linear_root(c)
-    return out
+from helpers import case, from_roots
 
 
 class TestVerifyCase:
