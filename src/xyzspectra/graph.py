@@ -72,16 +72,16 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidParameter(f"vertex count must be >= 1, got {self.n}")
+            raise InvalidParameter(f"vertex count must be >= 1, got {_shown(self.n)}")
         seen = set()
         for u, v in self.edges:
             if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
+                raise SelfLoop(f"self-loop at vertex {_shown(u)}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IndexOutOfRange(f"edge ({u},{v}) out of range for n={self.n}")
+                raise IndexOutOfRange(f"edge ({_shown(u)},{_shown(v)}) out of range for n={_shown(self.n)}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise DuplicateEdge(f"duplicate edge ({u},{v})")
+                raise DuplicateEdge(f"duplicate edge ({_shown(u)},{_shown(v)})")
             seen.add(key)
 
     @property
@@ -94,6 +94,21 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+
+def _graph(n: int, edges: tuple) -> Graph:
+    """Graph(n, edges) unchecked, for edges simple and in range by construction, such as
+    validated graphs' edges on disjoint vertex ranges joined by distinct cross pairs."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, edges=edges)
+    return g
+
+
+def _shown(value) -> str:
+    """value as a message quotes it: at most 40 characters, "..." marking a cut, and an int
+    only below 10**100 (str() raises above 4300 digits), so no message grows with its input."""
+    text = "<int of over 100 digits>" if isinstance(value, int) and abs(value) >= 10**100 else str(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def from_edge_list(n: int, pairs) -> Graph:
@@ -110,7 +125,7 @@ def from_edge_list(n: int, pairs) -> Graph:
 def cycle_graph(k: int) -> Graph:
     """Cycle C_k, k >= 3.  Edge j joins (j, j+1 mod k), normalized (min,max)."""
     if k < 3:
-        raise InvalidParameter(f"cycle needs k >= 3, got {k}")
+        raise InvalidParameter(f"cycle needs k >= 3, got {_shown(k)}")
     edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
     return Graph(k, tuple(edges))
 
@@ -118,7 +133,7 @@ def cycle_graph(k: int) -> Graph:
 def complete_graph(k: int) -> Graph:
     """Complete graph K_k, k >= 2.  Edges in lexicographic (u,v) order."""
     if k < 2:
-        raise InvalidParameter(f"complete graph needs k >= 2, got {k}")
+        raise InvalidParameter(f"complete graph needs k >= 2, got {_shown(k)}")
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     return Graph(k, tuple(edges))
 
@@ -126,7 +141,7 @@ def complete_graph(k: int) -> Graph:
 def complete_bipartite_graph(a: int) -> Graph:
     """Balanced complete bipartite K_{a,a}: parts 0..a-1 and a..2a-1, lex order."""
     if a < 1:
-        raise InvalidParameter(f"part size must be >= 1, got {a}")
+        raise InvalidParameter(f"part size must be >= 1, got {_shown(a)}")
     edges = [(u, a + w) for u in range(a) for w in range(a)]
     return Graph(2 * a, tuple(edges))
 
@@ -145,7 +160,7 @@ def petersen_graph() -> Graph:
 def hypercube_graph(d: int) -> Graph:
     """d-cube on vertices 0..2^d-1; edges (i, i ^ bit) ordered by i then bit."""
     if d < 1:
-        raise InvalidParameter(f"hypercube needs d >= 1, got {d}")
+        raise InvalidParameter(f"hypercube needs d >= 1, got {_shown(d)}")
     size = 1 << d
     edges = []
     for i in range(size):
@@ -164,15 +179,15 @@ def circulant_graph(k: int, offsets) -> Graph:
     ascending, for s ascending, edge (i, i+s mod k) when not yet present.
     """
     if k < 3:
-        raise InvalidParameter(f"circulant needs k >= 3, got {k}")
+        raise InvalidParameter(f"circulant needs k >= 3, got {_shown(k)}")
     folded = []
     for s in offsets:
         t = s % k
         if t == 0:
-            raise InvalidParameter(f"offset {s} is 0 mod {k}")
+            raise InvalidParameter(f"offset {_shown(s)} is 0 mod {_shown(k)}")
         folded.append(min(t, k - t))
     if len(set(folded)) != len(folded):
-        raise InvalidParameter(f"offsets {list(offsets)} collide mod {k}")
+        raise InvalidParameter(f"offsets {_shown(list(offsets))} collide mod {_shown(k)}")
     folded.sort()
     edges = []
     seen = set()
@@ -209,7 +224,7 @@ def generate(kind: str, params: list[int] | None = None) -> Graph:
     """
     params = params or []
     if kind not in GENERATORS:
-        raise InvalidParameter(f"unknown generator {kind!r}")
+        raise InvalidParameter(f"unknown generator {_shown(repr(kind))}")
     fn, arity, order = GENERATORS[kind]
     if arity is None:  # circulant: k plus at least one offset
         if len(params) < 2:
@@ -219,7 +234,7 @@ def generate(kind: str, params: list[int] | None = None) -> Graph:
     # a size parameter below 1 is left to the generator's own check
     if (not params or params[0] >= 1) and order(*params) > MAX_HEADER_ORDER:
         raise InvalidParameter(
-            f"{' '.join([kind, *map(str, params)])} has n + m above the limit {MAX_HEADER_ORDER}"
+            f"{_shown(' '.join([kind, *map(_shown, params)]))} has n + m above the limit {MAX_HEADER_ORDER}"
         )
     if arity is None:
         return fn(params[0], params[1:])
@@ -283,26 +298,26 @@ def parse_edge_list(text: str) -> Graph:
         raise InvalidParameter("empty edge-list input")
     head = lines[0].split()
     if len(head) != 2:
-        raise InvalidParameter(f"header must be 'n m', got {lines[0]!r}")
+        raise InvalidParameter(f"header must be 'n m', got {_shown(repr(lines[0]))}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise InvalidParameter(f"header must be two integers, got {lines[0]!r}")
+        raise InvalidParameter(f"header must be two integers, got {_shown(repr(lines[0]))}")
     if (total := n + m) > MAX_HEADER_ORDER:  # a sum of over 4300 digits has no str: not named
         named = f" = {total}" if total < 10**100 else ""
         raise InvalidParameter(f"header n + m{named} exceeds the limit {MAX_HEADER_ORDER}")
     body = lines[1:]
     if len(body) != m:
-        raise InvalidParameter(f"expected {m} edge lines, found {len(body)}")
+        raise InvalidParameter(f"expected {_shown(m)} edge lines, found {len(body)}")
     edges = []
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
-            raise InvalidParameter(f"edge line must be 'u v', got {ln!r}")
+            raise InvalidParameter(f"edge line must be 'u v', got {_shown(repr(ln))}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise InvalidParameter(f"edge line must be two integers, got {ln!r}")
+            raise InvalidParameter(f"edge line must be two integers, got {_shown(repr(ln))}")
     return Graph(n, tuple(edges))
 
 

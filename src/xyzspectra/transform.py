@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import EmptyEdgeSet, Graph, InvalidParameter, complement, complete_graph, line_graph
+from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, complete_graph, line_graph
 
 __all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
@@ -84,8 +84,8 @@ def xyz_transform(g: Graph, case: XyzCase) -> Graph:
     Vertices 0..n-1 are the original vertices in order; vertices n..n+m-1
     are the edges of g in canonical edge order.  The edge list concatenates
     the vertex-part edges, the edge-part edges (shifted by n), and the cross
-    pairs, each built once per graph.  Requires m >= 1: with no edges every
-    case degenerates.
+    pairs, each built once per graph, and joined unchecked: they make a simple
+    graph by construction.  Requires m >= 1: with no edges every case degenerates.
     """
     if g.m == 0:
         raise EmptyEdgeSet("transformation of an edgeless graph")
@@ -99,7 +99,7 @@ def xyz_transform(g: Graph, case: XyzCase) -> Graph:
     line = part("L", lambda: line_graph(g)) if case.y in "+-" else Graph(g.m, ())
     edges += part("y" + case.y, lambda: tuple((n + a, n + b) for a, b in part_graph(line, case.y).edges))
     edges += part("z" + case.z, lambda: tuple((v, n + j) for v, j in cross_edges(g, case.z)))
-    return Graph(n + g.m, edges)
+    return _graph(n + g.m, edges)
 
 
 def transform_size(g: Graph, case: XyzCase) -> tuple[int, int]:

@@ -1,10 +1,10 @@
 """Oracle harness: closed forms against brute force, plus identity suites.
 
-For every (graph, case) pair the harness computes the characteristic
-polynomial of the transformed graph twice — once by constructing the
-graph and running the exact charpoly, once by evaluating the case's
-closed-form descriptor — and compares coefficient lists exactly.  There
-is no tolerance anywhere; a mismatch ships the difference polynomial.
+For every (graph, case) pair the harness compares the case's closed-form
+polynomial, coefficient by coefficient, with the exact charpoly of the
+constructed transform, taken once per distinct transform of the graph (for
+K_n, -yz and 0yz coincide).  There is no tolerance anywhere; a mismatch
+ships the difference polynomial.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ class CorpusReport:
 def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
     """Compare the closed form against direct construction for each case.
 
-    The inputs every closed form shares (the degree r and the base graph's
-    signless-Laplacian polynomial) are computed once for the graph.  All
-    failures (irregular or edgeless input, evaluation errors) are captured
-    in the results rather than raised.
+    The degree r, the base graph's signless-Laplacian polynomial and the
+    oracle of each distinct transform (equal edges, equal Q) are computed
+    once per call.  All failures (irregular or edgeless input, evaluation
+    errors) are captured in the results rather than raised.
     """
     try:
         r = regularity(g)
@@ -115,17 +115,17 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         f = charpoly(signless_laplacian(g))
     except Exception as exc:  # reported, never propagated
         return [_error(gid, case, exc) for case in cases]
-    results = []
+    results, oracles = [], {}  # transformed graph -> its oracle, for this call only
     for case in cases:
         try:
-            oracle = charpoly(signless_laplacian(xyz_transform(g, case)))
+            if (oracle := oracles.get(t := xyz_transform(g, case))) is None:
+                oracle = oracles[t] = charpoly(signless_laplacian(t))
             formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
         except Exception as exc:  # reported, never propagated
             results.append(_error(gid, case, exc))
             continue
-        diff = formula - oracle
-        outcome = "match" if diff.is_zero else "mismatch"
-        results.append(VerificationResult(gid, case, outcome, formula, oracle, diff))
+        diff = IntPoly.zero() if formula == oracle else formula - oracle
+        results.append(VerificationResult(gid, case, "mismatch" if diff else "match", formula, oracle, diff))
     return results
 
 

@@ -300,8 +300,26 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "charpoly", counting)
         assert cli.main(["verify", k3_file, "--all"]) == 0
-        # one base charpoly (K3, 3 rows) and one oracle per case (6 rows)
-        assert sorted(dims) == [3] + [6] * 64
+        # one base charpoly (K3, 3 rows) and one oracle (6 rows) per distinct transform: the
+        # complement of K3 is edgeless and its line graph is K3, so x in {0, -} build the same
+        # vertex part, x in {1, +} the same, and likewise y; 2 * 2 * 4 = 16 transforms
+        assert sorted(dims) == [3] + [6] * 16
+
+    def test_base_charpoly_once_c5(self, tmp_path, monkeypatch, capsys):
+        from xyzspectra import verify
+
+        dims = []
+
+        def counting(mat):
+            dims.append(mat.rows)
+            return charpoly(mat)
+
+        path = tmp_path / "c5.g"
+        path.write_text(format_edge_list(cycle_graph(5)))
+        monkeypatch.setattr(verify, "charpoly", counting)
+        assert cli.main(["verify", str(path), "--all"]) == 0
+        # C5's 64 transforms are 64 distinct graphs: one base charpoly and 64 oracles
+        assert sorted(dims) == [5] + [10] * 64
 
     def test_order_limit(self, k3_file, monkeypatch, capsys):
         # K3 has n + m = 6: refused before run_corpus (so before any charpoly) at limit 5
@@ -478,10 +496,12 @@ def generated_file(tmp_path_factory):
 @seed(20131018)
 @settings(max_examples=200, deadline=None)
 @example(data=b"9" * 4300 + b" 1\n0 1\n", command="charpoly", case="+++")  # n + m has 4301 digits
+@example(data=b"3 1\n" + b"0 " * 50000 + b"\n", command="charpoly", case="+++")  # a 100 000-character line
+@example(data=b"3 1\n0 " + b"9" * 4000 + b"\n", command="charpoly", case="+++")  # a 4000-digit endpoint
 @given(data=mutated_edge_lists(), command=st.sampled_from(["transform", "charpoly", "formula", "verify"]),
        case=st.sampled_from([str(c) for c in list_cases()]))
 def test_generated_edge_lists_exit_cleanly(generated_file, data, command, case):
-    # an exit code in 0-4, one stderr line when it is not 0, and never a traceback
+    # an exit code in 0-4, one short stderr line when it is not 0, and never a traceback
     generated_file.write_bytes(data)
     argv = [command, str(generated_file)] + ([] if command == "charpoly" else ["--case", case])
     out, err = io.StringIO(), io.StringIO()
@@ -489,5 +509,48 @@ def test_generated_edge_lists_exit_cleanly(generated_file, data, command, case):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue()) < 200, err.getvalue()[:400]
     if code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+
+
+GEN_TOKENS = BAD_TOKENS + HUGE_TOKENS + ["-" + "9" * 4300]
+
+
+@st.composite
+def gen_arguments(draw):
+    """A gen command line: every generator kind or an unknown one, with the right number of
+    parameters or a wrong one, each a small int, 0, a negative, a non-int token or a huge int
+    (up to 5000 digits); for circulant also colliding offsets or hundreds of offsets."""
+    kind = draw(st.sampled_from([*sorted(graph.GENERATORS), "dodecahedron"]))
+    arity = graph.GENERATORS[kind][1] if kind in graph.GENERATORS else 1
+    count = arity if arity is not None and draw(st.booleans()) else draw(st.integers(0, 4))
+    token = st.integers(-3, 12).map(str) | st.sampled_from(GEN_TOKENS)
+    params = [draw(token) for _ in range(count)]
+    if kind == "circulant" and draw(st.booleans()):
+        k = draw(st.integers(3, 1000))
+        params = [str(k)] + draw(st.sampled_from([
+            [str(s) for s in (1, k - 1, k + 1, -1)],  # all fold to 1 mod k
+            [str(s) for s in range(1, 400)],
+            ["1"] * 300,
+            [str(k), "1"],  # 0 mod k
+        ]))
+    return [kind, *params]
+
+
+@seed(20131019)
+@settings(max_examples=200, deadline=None)
+@example(argv=["circulant", "1000", *map(str, range(1, 400))])  # a 1.5 kB parameter list
+@given(argv=gen_arguments())
+def test_generated_gen_parameters_exit_cleanly(generated_file, argv):
+    # an exit code in 0-4, one short stderr line when it is not 0, and never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["gen", *argv, "--out", str(generated_file)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue()) < 200, err.getvalue()[:400]
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    else:
+        assert parse_edge_list(generated_file.read_text()).n >= 1

@@ -1,6 +1,7 @@
 """Construction of the 64 vertex-edge transformations."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from xyzspectra.graph import (
     EmptyEdgeSet,
     Graph,
     InvalidParameter,
+    circulant_graph,
     complement,
     complete_graph,
     cycle_graph,
@@ -172,6 +174,27 @@ CACHE_GRAPHS = {
 }
 
 
+def seeded_regular_graphs(count=30, seed=20131019):
+    """Random circulants on random offset sets, relabelled (a random vertex permutation, edge
+    order and orientation), every third one united with a relabelled copy of itself."""
+    rng = random.Random(seed)
+
+    def relabelled(g):
+        perm = rng.sample(range(g.n), g.n)
+        edges = [(perm[u], perm[v])[::rng.choice((1, -1))] for u, v in g.edges]
+        rng.shuffle(edges)
+        return Graph(g.n, tuple(edges))
+
+    graphs = []
+    for i in range(count):
+        k = rng.randint(3, 12)
+        g = relabelled(circulant_graph(k, rng.sample(range(1, k // 2 + 1), rng.randint(1, k // 2))))
+        if i % 3 == 2:
+            g = Graph(2 * k, g.edges + tuple((u + k, v + k) for u, v in relabelled(g).edges))
+        graphs.append(g)
+    return graphs
+
+
 def fresh_transform(g, c):
     """xyz_transform with no part kept from an earlier call."""
     transform._parts.cache_clear()
@@ -195,6 +218,14 @@ class TestPartsCache:
             for c in list_cases():
                 for name in (a, b):
                     assert xyz_transform(CACHE_GRAPHS[name], c) == fresh[name, c], (name, str(c))
+
+    def test_unchecked_build_is_a_valid_graph(self):
+        # xyz_transform skips Graph's checks; the checked constructor accepts every result
+        graphs = [g for _, g in default_corpus()] + list(CACHE_GRAPHS.values()) + seeded_regular_graphs()
+        for g in graphs:
+            for c in list_cases():
+                t = xyz_transform(g, c)
+                assert Graph(t.n, t.edges) == t, (g, str(c))
 
     def test_size_without_building(self):
         graphs = [g for _, g in default_corpus()] + list(CACHE_GRAPHS.values())

@@ -22,6 +22,7 @@ from xyzspectra.graph import (
     regularity,
 )
 from xyzspectra.linalg import signless_laplacian
+from xyzspectra.transform import xyz_transform
 from xyzspectra.verify import (
     CorpusReport,
     PreconditionViolated,
@@ -122,6 +123,35 @@ class TestRunCorpus:
         assert rep.all_match and len(rep.results) == 128
         # base graphs have 3 and 4 vertices, their transforms 6 and 8
         assert sorted(d for d in dims if d < 6) == [3, 4]
+
+    def test_oracle_once_per_distinct_transform_and_call(self, monkeypatch):
+        dims = []
+
+        def counting(mat):
+            dims.append(mat.rows)
+            return charpoly(mat)
+
+        monkeypatch.setattr(verify, "charpoly", counting)
+        oracles = 0
+        for gid, g in default_corpus():
+            distinct = len({xyz_transform(g, c) for c in list_cases()})
+            for _ in range(2):  # nothing is kept from one call to the next
+                dims.clear()
+                assert run_corpus([(gid, g)]).all_match
+                assert sorted(dims) == [g.n] + [g.n + g.m] * distinct, gid
+            oracles += distinct
+        assert oracles == 840  # of 1024 cases
+        # K_n's complement part is edgeless: -yz and 0yz coincide, and for K3 also x-z and x0z
+        assert len({xyz_transform(complete_graph(4), c) for c in list_cases()}) == 32
+        assert len({xyz_transform(complete_graph(3), c) for c in list_cases()}) == 16
+
+    def test_shared_oracles_change_no_result(self):
+        # verify_case takes every case on its own, with nothing shared between cases
+        for gid, g in default_corpus():
+            shared = run_corpus([(gid, g)]).results
+            alone = [verify_case(g, c, gid) for c in list_cases()]
+            assert [(r.case, r.outcome, r.formula_poly, r.oracle_poly, r.diff) for r in shared] == [
+                (r.case, r.outcome, r.formula_poly, r.oracle_poly, r.diff) for r in alone], gid
 
     def test_regimes_outside_default_corpus(self):
         # r = 1 with m < n (K2, 3K2), disconnected graphs (2C3, C3+C4,
