@@ -30,7 +30,7 @@ from .formulas import (
     list_cases,
     render_formula_instantiated,
 )
-from .graph import Graph, GraphError, format_edge_list, generate, parse_edge_list, regularity
+from .graph import Graph, GraphError, _shown, format_edge_list, generate, parse_edge_list, regularity
 from .linalg import adjacency, laplacian, signless_laplacian
 from .transform import XyzCase, transform_size, xyz_transform
 from .verify import default_corpus, report_to_json, run_corpus
@@ -41,9 +41,9 @@ EXIT_USAGE = 2
 EXIT_IRREGULAR = 3
 EXIT_FORMULA = 4
 
-# verify --all takes 64 oracle charpolys of order n + m: 17-21 s in all for C50 (n + m = 100) on a
-# 2-core x86-64 host, 147 s for C75 (150) and about 740 s for C100 (200); the slowest case (about
-# 1.2 s, 10 s, 45 s) grows faster than N^3, so a header near 1000 would keep it busy for days.
+# verify --all takes 32 paired oracle reductions of order n + m: 5.5-6.6 s in all for C50 (n + m =
+# 100) on a 2-core x86-64 host and 36 s for C75 (150), the slowest pair 0.56 s and 3.3 s (unpaired:
+# 20-22 s and 147 s); the cost grows faster than N^3, so a header near 1000 would take days.
 MAX_VERIFY_ORDER = 100
 
 _MATRICES = {"A": adjacency, "L": laplacian, "Q": signless_laplacian}
@@ -84,8 +84,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
+    params = []
     try:
-        g = generate(args.kind, [int(p) for p in args.params])
+        for token in args.params:
+            params.append(int(token))
+    except ValueError:  # int()'s own message would quote up to 200 characters of the token
+        return _fail(EXIT_USAGE, f"gen: parameter {_shown(repr(token))} is not an int of at most 4300 digits")
+    try:
+        g = generate(args.kind, params)
     except (GraphError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"gen: {exc}")
     _emit(format_edge_list(g), args.out)

@@ -19,6 +19,8 @@ from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, co
 __all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
 SYMBOLS = ("0", "1", "+", "-")
+# 0 <-> 1 and + <-> - in a case: every part of its transform and the cross pairs complemented
+_COMPLEMENT = str.maketrans("01+-", "10-+")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 For every (graph, case) pair the harness compares the case's closed-form
 polynomial, coefficient by coefficient, with the exact charpoly of the
 constructed transform, taken once per distinct transform of the graph (for
-K_n, -yz and 0yz coincide).  There is no tolerance anywhere; a mismatch
+K_n, -yz and 0yz coincide), a case's and its complement's (0 and 1, + and -
+swapped) from one reduction.  There is no tolerance anywhere; a mismatch
 ships the difference polynomial.
 """
 
@@ -13,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .exactpoly import BiPoly, IntPoly, charpoly, compose_linear, eig_product, reduced_qpoly
+from .exactpoly import BiPoly, IntPoly, charpoly, charpoly_pair, compose_linear, eig_product, reduced_qpoly
 from .formulas import descriptor_for, formula_charpoly, list_cases
 from .graph import (
     Graph,
@@ -28,7 +29,7 @@ from .graph import (
     regularity,
 )
 from .linalg import IntMatrix, signless_laplacian
-from .transform import XyzCase, xyz_transform
+from .transform import _COMPLEMENT, XyzCase, xyz_transform
 
 __all__ = [
     "PreconditionViolated",
@@ -103,8 +104,10 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
 
     The degree r, the base graph's signless-Laplacian polynomial and the
     oracle of each distinct transform (equal edges, equal Q) are computed
-    once per call.  All failures (irregular or edgeless input, evaluation
-    errors) are captured in the results rather than raised.
+    once per call; a transform whose complement's case is asked for too
+    shares one charpoly_pair with it, as Q(complement) = (N - 2)I + J - Q.
+    All failures (irregular or edgeless input, evaluation errors) are
+    captured in the results rather than raised.
     """
     try:
         r = regularity(g)
@@ -115,11 +118,16 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         f = charpoly(signless_laplacian(g))
     except Exception as exc:  # reported, never propagated
         return [_error(gid, case, exc) for case in cases]
-    results, oracles = [], {}  # transformed graph -> its oracle, for this call only
+    results, oracles, wanted = [], {}, set(cases)  # transformed graph -> its oracle, for this call only
     for case in cases:
         try:
             if (oracle := oracles.get(t := xyz_transform(g, case))) is None:
-                oracle = oracles[t] = charpoly(signless_laplacian(t))
+                if (bar := XyzCase.parse(str(case).translate(_COMPLEMENT))) in wanted:
+                    oracle, other = charpoly_pair(signless_laplacian(t))
+                    oracles.setdefault(xyz_transform(g, bar), other)
+                else:
+                    oracle = charpoly(signless_laplacian(t))
+                oracles[t] = oracle
             formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
         except Exception as exc:  # reported, never propagated
             results.append(_error(gid, case, exc))

@@ -13,7 +13,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from xyzspectra import cli, graph
-from xyzspectra.exactpoly import charpoly
+from xyzspectra.exactpoly import charpoly, charpoly_pair
 from xyzspectra.formulas import list_cases
 from xyzspectra.graph import complete_graph, format_edge_list, from_edge_list, parse_edge_list
 from xyzspectra.linalg import signless_laplacian
@@ -289,37 +289,51 @@ class TestVerify:
             assert captured.out == ""
             assert captured.err == "verify: input graph has no edges\n"
 
-    def test_base_charpoly_once(self, k3_file, monkeypatch, capsys):
+    @staticmethod
+    def count_oracles(monkeypatch) -> tuple[list, list]:
+        """The orders of verify's charpoly and charpoly_pair calls, recorded while the test runs."""
         from xyzspectra import verify
 
-        dims = []
+        dims, pair_dims = [], []
 
         def counting(mat):
             dims.append(mat.rows)
             return charpoly(mat)
 
+        def counting_pairs(mat):
+            pair_dims.append(mat.rows)
+            return charpoly_pair(mat)
+
         monkeypatch.setattr(verify, "charpoly", counting)
+        monkeypatch.setattr(verify, "charpoly_pair", counting_pairs)
+        return dims, pair_dims
+
+    def test_base_charpoly_once(self, k3_file, monkeypatch, capsys):
+        dims, pair_dims = self.count_oracles(monkeypatch)
         assert cli.main(["verify", k3_file, "--all"]) == 0
         # one base charpoly (K3, 3 rows) and one oracle (6 rows) per distinct transform: the
         # complement of K3 is edgeless and its line graph is K3, so x in {0, -} build the same
-        # vertex part, x in {1, +} the same, and likewise y; 2 * 2 * 4 = 16 transforms
-        assert sorted(dims) == [3] + [6] * 16
+        # vertex part, x in {1, +} the same, and likewise y; 2 * 2 * 4 = 16 transforms, the
+        # complements of one another in pairs, so 8 reductions
+        assert dims == [3]
+        assert pair_dims == [6] * 8
 
     def test_base_charpoly_once_c5(self, tmp_path, monkeypatch, capsys):
-        from xyzspectra import verify
-
-        dims = []
-
-        def counting(mat):
-            dims.append(mat.rows)
-            return charpoly(mat)
-
+        dims, pair_dims = self.count_oracles(monkeypatch)
         path = tmp_path / "c5.g"
         path.write_text(format_edge_list(cycle_graph(5)))
-        monkeypatch.setattr(verify, "charpoly", counting)
         assert cli.main(["verify", str(path), "--all"]) == 0
-        # C5's 64 transforms are 64 distinct graphs: one base charpoly and 64 oracles
-        assert sorted(dims) == [5] + [10] * 64
+        # C5's 64 transforms are 64 distinct graphs: one base charpoly and 32 reductions
+        assert dims == [5]
+        assert pair_dims == [10] * 32
+
+    def test_single_case_takes_a_lone_charpoly(self, k3_file, monkeypatch, capsys):
+        # --case asks for no complementary case: the oracle is charpoly's, not a pair's
+        dims, pair_dims = self.count_oracles(monkeypatch)
+        assert cli.main(["verify", k3_file, "--case", "+0-"]) == 0
+        assert capsys.readouterr().out == "PASS +0-\n"
+        assert dims == [3, 6]
+        assert pair_dims == []
 
     def test_order_limit(self, k3_file, monkeypatch, capsys):
         # K3 has n + m = 6: refused before run_corpus (so before any charpoly) at limit 5
@@ -514,7 +528,7 @@ def test_generated_edge_lists_exit_cleanly(generated_file, data, command, case):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
-GEN_TOKENS = BAD_TOKENS + HUGE_TOKENS + ["-" + "9" * 4300]
+GEN_TOKENS = BAD_TOKENS + HUGE_TOKENS + ["-" + "9" * 4300, "x" * 5000]
 
 
 @st.composite
@@ -541,6 +555,7 @@ def gen_arguments(draw):
 @seed(20131019)
 @settings(max_examples=200, deadline=None)
 @example(argv=["circulant", "1000", *map(str, range(1, 400))])  # a 1.5 kB parameter list
+@example(argv=["cycle", "x" * 5000])  # int()'s own message would quote 200 characters of it
 @given(argv=gen_arguments())
 def test_generated_gen_parameters_exit_cleanly(generated_file, argv):
     # an exit code in 0-4, one short stderr line when it is not 0, and never a traceback

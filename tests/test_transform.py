@@ -235,6 +235,21 @@ class TestPartsCache:
                 assert transform_size(g, c) == (t.n, t.m), str(c)
 
 
+class TestComplementaryCase:
+    BAR = {"0": "1", "1": "0", "+": "-", "-": "+"}
+
+    def test_swapped_symbols_build_the_complement(self):
+        # c-bar swaps 0 with 1 and + with - in every symbol; each part, and the cross pairs,
+        # is complemented in its own block, so the two edge sets split all N(N-1)/2 pairs
+        for g in [g for _, g in default_corpus()] + seeded_regular_graphs():
+            for c in list_cases():
+                t = xyz_transform(g, c)
+                tbar = xyz_transform(g, case("".join(self.BAR[s] for s in str(c))))
+                edges, bar_edges = ({frozenset(e) for e in x.edges} for x in (t, tbar))
+                assert tbar.n == t.n and not edges & bar_edges, (g, str(c))
+                assert len(edges) + len(bar_edges) == t.n * (t.n - 1) // 2, (g, str(c))
+
+
 class TestDegreeDiagonals:
     """Vertex-part and edge-part degrees for six cases, on every corpus graph."""
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, compose_linear
+from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, charpoly_pair, compose_linear
 from xyzspectra import formulas, verify
 from xyzspectra.formulas import descriptor_for, formula_charpoly, list_cases
 from xyzspectra.graph import (
@@ -125,28 +125,46 @@ class TestRunCorpus:
         assert sorted(d for d in dims if d < 6) == [3, 4]
 
     def test_oracle_once_per_distinct_transform_and_call(self, monkeypatch):
-        dims = []
+        dims, pair_dims = [], []
 
         def counting(mat):
             dims.append(mat.rows)
             return charpoly(mat)
 
+        def counting_pairs(mat):
+            pair_dims.append(mat.rows)
+            return charpoly_pair(mat)
+
         monkeypatch.setattr(verify, "charpoly", counting)
-        oracles = 0
+        monkeypatch.setattr(verify, "charpoly_pair", counting_pairs)
+        # with all 64 cases asked for, each reduction serves a transform and its complement's:
+        # half of the distinct transforms, 16 for K3 and 32 for K4-K6 (see below).  C3's
+        # cycle_graph edge order differs from K3's, so +yz and 1yz are equal graphs under
+        # different keys: its 24 keys take 16 reductions, whose 8 second polynomials for -yz
+        # find 0yz's already kept
+        pairs = {"C3": 16, "K3": 8, "K4": 16, "K5": 16, "K6": 16}
+        oracles = reductions = 0
         for gid, g in default_corpus():
             distinct = len({xyz_transform(g, c) for c in list_cases()})
             for _ in range(2):  # nothing is kept from one call to the next
                 dims.clear()
+                pair_dims.clear()
                 assert run_corpus([(gid, g)]).all_match
-                assert sorted(dims) == [g.n] + [g.n + g.m] * distinct, gid
+                assert dims == [g.n], gid  # the base charpoly only
+                assert pair_dims == [g.n + g.m] * pairs.get(gid, 32), gid
+            assert 2 * len(pair_dims) - distinct == (8 if gid == "C3" else 0), gid
             oracles += distinct
+            reductions += len(pair_dims)
         assert oracles == 840  # of 1024 cases
+        assert reductions == 424
         # K_n's complement part is edgeless: -yz and 0yz coincide, and for K3 also x-z and x0z
         assert len({xyz_transform(complete_graph(4), c) for c in list_cases()}) == 32
         assert len({xyz_transform(complete_graph(3), c) for c in list_cases()}) == 16
 
     def test_shared_oracles_change_no_result(self):
-        # verify_case takes every case on its own, with nothing shared between cases
+        # verify_case takes every case on its own, with nothing shared between cases: its case's
+        # complement is not asked for, so its oracle is a lone charpoly, and run_corpus's come
+        # from charpoly_pair
         for gid, g in default_corpus():
             shared = run_corpus([(gid, g)]).results
             alone = [verify_case(g, c, gid) for c in list_cases()]
