@@ -84,16 +84,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    params = []
     try:
-        for token in args.params:
-            params.append(int(token))
+        g = generate(args.kind, [int(token := p) for p in args.params])
+    except GraphError as exc:
+        return _fail(EXIT_USAGE, f"gen: {exc}")
     except ValueError:  # int()'s own message would quote up to 200 characters of the token
         return _fail(EXIT_USAGE, f"gen: parameter {_shown(repr(token))} is not an int of at most 4300 digits")
-    try:
-        g = generate(args.kind, params)
-    except (GraphError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"gen: {exc}")
     _emit(format_edge_list(g), args.out)
     return EXIT_OK
 

@@ -2,13 +2,12 @@
 
 The computational kernel: integer univariate and bivariate polynomials, characteristic
 polynomials and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's
-bound, e prime; a graph's and its complement's Q from one reduction), and products of a
-bivariate factor over the roots of a monic polynomial (one resultant over Z[x]), with a
-bound on their l1 norm and their value at one integer point (the same resultant loop over
-Z).  One ring arithmetic serves both polynomial classes: IntPoly is a polynomial over Z,
-and BiPoly a polynomial in the second variable over IntPoly in the first, the layout the
-resultant in the second variable reads.  No floating point; every result is exact by a
-proven bound.
+bound, e prime), and products of a bivariate factor over the roots of a monic polynomial (one
+resultant over Z[x]), with a bound on their l1 norm and their value at one integer
+point (the same resultant loop over Z).  One ring arithmetic serves both polynomial
+classes: IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over
+IntPoly in the first, the layout the resultant in the second variable reads.  No floating
+point; every result is exact by a proven bound.  charpoly_pair takes M and (N - 2)I + J - M at once.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
@@ -358,32 +357,33 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
-    return _modular(_charpoly_mod, mat.entries)
+    e = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
+    while True:  # e goes from bits(B) to the least prime above it, then to the next prime
+        with suppress(ValueError):  # when a pivot shares a factor with 2^e - 1
+            return _charpoly_mod(mat.entries, (1 << (e := _prime_above(e))) - 1)
 
 
 def charpoly_pair(mat: IntMatrix) -> tuple[IntPoly, IntPoly]:
     """(charpoly(M), charpoly((N - 2)I + J - M)): for a graph's Q, the graph's and its complement's.
 
-    charpoly's reduction fixes e_0, so on S^-1 M S, S = I + sum_(i>=1) e_i e_0^T, it gives
-    H = L^-1 M L with L e_0 = S e_0 = 1.  The row 1^T S = (N, 1, ..., 1) below M takes the column
-    operations and ends as w^T = 1^T L, so L^-1 J L = e_0 w^T, and (N - 2)I + e_0 w^T - H is upper
-    Hessenberg, H's subdiagonal negated: one reduction, two recurrences, p above both bounds (the
-    complement's row i has squares summing to N - 2 sum_j m_ij + sum_j m_ij^2 + (N - 2)(N - 2 m_ii))."""
+    charpoly's reduction fixes e_0, so on S^-1 M S, S = I + sum_(i>=1) e_i e_0^T, it gives H = L^-1 M L
+    with L e_0 = S e_0 = 1; the row 1^T S below takes its column operations and ends as w^T = 1^T L, so
+    L^-1 J L = e_0 w^T and (N - 2)I + e_0 w^T - H is upper Hessenberg.  p is above both Hadamard bounds."""
     if not mat.is_square:
         raise NotSquare("charpoly_pair: matrix must be square")
-    n = mat.rows
-    return _modular(_pair_mod, mat.entries, prod(
-        2 + isqrt(n - 2 * sum(row) + sum(map(mul, row, row)) + (n - 2) * (n - 2 * row[i]))
-        for i, row in enumerate(mat.entries)))
-
-
-def _modular(kernel, rows, bound: int = 0):
-    """kernel(rows, p) at p = 2^e - 1, e the least prime above bits(B), B the larger of bound and the
-    square rows' Hadamard bound (see charpoly), then at the next primes on ValueError."""
-    e = max(prod(2 + isqrt(sum(map(mul, row, row))) for row in rows), bound).bit_length()
-    while True:  # ValueError: a pivot shares a factor with 2^e - 1
+    n, ms = mat.rows, [(sum(row), *row[1:]) for row in mat.entries]  # M S: column 0 is M 1
+    rows = ms[:1] + [[x - y for x, y in zip(r, ms[0])] for r in ms[1:]] + [[n, *[1] * (n - 1)][:n]]
+    sums = [(sum(row), sum(map(mul, row, row)), row[i]) for i, row in enumerate(mat.entries)]
+    e = max(prod(2 + isqrt(q) for _, q, _ in sums),
+            prod(2 + isqrt(n - 2 * s + q + (n - 2) * (n - 2 * d)) for s, q, d in sums)).bit_length()
+    while True:  # as charpoly's
         with suppress(ValueError):
-            return kernel(rows, (1 << (e := _prime_above(e))) - 1)
+            p = (1 << (e := _prime_above(e))) - 1
+            *h, w = _hessenberg([[x % p for x in r] for r in rows], p)  # S^-1 M S, then 1^T S
+            comp = [[(y - x) % p for x, y in zip(r, w)] for r in h[:1]] + [[p - x for x in r] for r in h[1:]]
+            for i, row in enumerate(comp):  # e_0 w^T - H, each entry in [0, p], plus (N - 2)I
+                row[i] = (row[i] + n - 2) % p
+            return _hessenberg_charpoly(h, p), _hessenberg_charpoly(comp, p)
 
 
 @lru_cache(maxsize=None)  # keyed by bit lengths of bounds: a few dozen in a long run
@@ -396,20 +396,9 @@ def _charpoly_mod(rows, p: int) -> IntPoly:
     return _hessenberg_charpoly(_hessenberg([[x % p for x in row] for row in rows], p), p)
 
 
-def _pair_mod(rows, p: int) -> tuple[IntPoly, IntPoly]:
-    """charpoly_pair of the square rows modulo p, as _charpoly_mod."""
-    n, ms = len(rows), [(sum(row), *row[1:]) for row in rows]  # M S: column 0 is M 1
-    h = [[x % p for x in r] for r in ms[:1]] + [[(x - y) % p for x, y in zip(r, ms[0])] for r in ms[1:]]
-    *h, w = _hessenberg([*h, [n if j == 0 else 1 for j in range(n)]], p)  # S^-1 M S, then 1^T S
-    comp = [[(y - x) % p for x, y in zip(r, w)] for r in h[:1]] + [[p - x for x in r] for r in h[1:]]
-    for i, row in enumerate(comp):  # e_0 w^T - H, each entry in [0, p], plus (N - 2)I
-        row[i] = (row[i] + n - 2) % p
-    return _hessenberg_charpoly(h, p), _hessenberg_charpoly(comp, p)
-
-
 def _hessenberg(h: list, p: int) -> list:
-    """h, its leading square block made upper Hessenberg modulo p in place by a similarity that fixes
-    e_0; rows below the block take its column operations.  Entries nothing reads are left stale."""
+    """h with its leading square block made upper Hessenberg mod p in place, e_0 fixed, rows below it
+    taking the column operations (see charpoly_pair).  Entries nothing reads are left stale."""
     n, s = len(h[0]) if h else 0, 0
     for k in range(1, n - 1):
         if not (nz := [i for i in range(k, n) if h[i][k - 1]]):

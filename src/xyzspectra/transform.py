@@ -19,8 +19,6 @@ from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, co
 __all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
 SYMBOLS = ("0", "1", "+", "-")
-# 0 <-> 1 and + <-> - in a case: every part of its transform and the cross pairs complemented
-_COMPLEMENT = str.maketrans("01+-", "10-+")
 
 
 @dataclass(frozen=True)
@@ -44,6 +42,10 @@ class XyzCase:
 
     def __str__(self) -> str:
         return self.x + self.y + self.z
+
+    def complement(self) -> XyzCase:
+        """0 and 1, + and - swapped: each part of its transform, and the cross pairs, complemented."""
+        return XyzCase(*("10-+"["01+-".index(s)] for s in str(self)))
 
 
 def part_graph(g: Graph, s: str) -> Graph:

@@ -29,7 +29,7 @@ from .graph import (
     regularity,
 )
 from .linalg import IntMatrix, signless_laplacian
-from .transform import _COMPLEMENT, XyzCase, xyz_transform
+from .transform import XyzCase, xyz_transform
 
 __all__ = [
     "PreconditionViolated",
@@ -104,10 +104,9 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
 
     The degree r, the base graph's signless-Laplacian polynomial and the
     oracle of each distinct transform (equal edges, equal Q) are computed
-    once per call; a transform whose complement's case is asked for too
-    shares one charpoly_pair with it, as Q(complement) = (N - 2)I + J - Q.
-    All failures (irregular or edgeless input, evaluation errors) are
-    captured in the results rather than raised.
+    once per call, each with its complement's (Q(complement) = (N - 2)I + J
+    - Q) from one charpoly_pair.  All failures (irregular or edgeless input,
+    evaluation errors) are captured in the results rather than raised.
     """
     try:
         r = regularity(g)
@@ -118,16 +117,14 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         f = charpoly(signless_laplacian(g))
     except Exception as exc:  # reported, never propagated
         return [_error(gid, case, exc) for case in cases]
-    results, oracles, wanted = [], {}, set(cases)  # transformed graph -> its oracle, for this call only
+    results, oracles = [], {}  # transformed graph -> (its oracle, its complement's), for this call only
     for case in cases:
         try:
-            if (oracle := oracles.get(t := xyz_transform(g, case))) is None:
-                if (bar := XyzCase.parse(str(case).translate(_COMPLEMENT))) in wanted:
-                    oracle, other = charpoly_pair(signless_laplacian(t))
-                    oracles.setdefault(xyz_transform(g, bar), other)
-                else:
-                    oracle = charpoly(signless_laplacian(t))
-                oracles[t] = oracle
+            if (pair := oracles.get(t := xyz_transform(g, case))) is None:
+                tbar = xyz_transform(g, case.complement())  # kept already if t's graph is, in another order
+                pair = oracles[tbar][::-1] if tbar in oracles else charpoly_pair(signless_laplacian(t))
+                oracles[t], oracles[tbar] = pair, pair[::-1]
+            oracle = pair[0]
             formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
         except Exception as exc:  # reported, never propagated
             results.append(_error(gid, case, exc))

@@ -327,14 +327,6 @@ class TestVerify:
         assert dims == [5]
         assert pair_dims == [10] * 32
 
-    def test_single_case_takes_a_lone_charpoly(self, k3_file, monkeypatch, capsys):
-        # --case asks for no complementary case: the oracle is charpoly's, not a pair's
-        dims, pair_dims = self.count_oracles(monkeypatch)
-        assert cli.main(["verify", k3_file, "--case", "+0-"]) == 0
-        assert capsys.readouterr().out == "PASS +0-\n"
-        assert dims == [3, 6]
-        assert pair_dims == []
-
     def test_order_limit(self, k3_file, monkeypatch, capsys):
         # K3 has n + m = 6: refused before run_corpus (so before any charpoly) at limit 5
         def refuse(graphs, cases=None):

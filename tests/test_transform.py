@@ -244,7 +244,8 @@ class TestComplementaryCase:
         for g in [g for _, g in default_corpus()] + seeded_regular_graphs():
             for c in list_cases():
                 t = xyz_transform(g, c)
-                tbar = xyz_transform(g, case("".join(self.BAR[s] for s in str(c))))
+                assert c.complement() == case("".join(self.BAR[s] for s in str(c)))
+                tbar = xyz_transform(g, c.complement())
                 edges, bar_edges = ({frozenset(e) for e in x.edges} for x in (t, tbar))
                 assert tbar.n == t.n and not edges & bar_edges, (g, str(c))
                 assert len(edges) + len(bar_edges) == t.n * (t.n - 1) // 2, (g, str(c))

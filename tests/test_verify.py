@@ -137,34 +137,34 @@ class TestRunCorpus:
 
         monkeypatch.setattr(verify, "charpoly", counting)
         monkeypatch.setattr(verify, "charpoly_pair", counting_pairs)
-        # with all 64 cases asked for, each reduction serves a transform and its complement's:
-        # half of the distinct transforms, 16 for K3 and 32 for K4-K6 (see below).  C3's
-        # cycle_graph edge order differs from K3's, so +yz and 1yz are equal graphs under
-        # different keys: its 24 keys take 16 reductions, whose 8 second polynomials for -yz
-        # find 0yz's already kept
-        pairs = {"C3": 16, "K3": 8, "K4": 16, "K5": 16, "K6": 16}
+        # each reduction serves a transform and its complement's: half of the distinct
+        # transforms, 16 for K3 and 32 for K4-K6 (see below).  C3's cycle_graph edge order
+        # differs from K3's, so +yz and 1yz are equal graphs under different keys: its 24 keys
+        # take 8 reductions, and each +yz reads its oracle off the complement -yz = 0yz, kept
+        pairs = {"C3": 8, "K3": 8, "K4": 16, "K5": 16, "K6": 16}
         oracles = reductions = 0
         for gid, g in default_corpus():
             distinct = len({xyz_transform(g, c) for c in list_cases()})
+            graphs = {frozenset(map(frozenset, xyz_transform(g, c).edges)) for c in list_cases()}
             for _ in range(2):  # nothing is kept from one call to the next
                 dims.clear()
                 pair_dims.clear()
                 assert run_corpus([(gid, g)]).all_match
                 assert dims == [g.n], gid  # the base charpoly only
                 assert pair_dims == [g.n + g.m] * pairs.get(gid, 32), gid
-            assert 2 * len(pair_dims) - distinct == (8 if gid == "C3" else 0), gid
+            assert 2 * len(pair_dims) == len(graphs), gid  # one per two complementary edge sets
             oracles += distinct
             reductions += len(pair_dims)
         assert oracles == 840  # of 1024 cases
-        assert reductions == 424
+        assert reductions == 416
         # K_n's complement part is edgeless: -yz and 0yz coincide, and for K3 also x-z and x0z
         assert len({xyz_transform(complete_graph(4), c) for c in list_cases()}) == 32
         assert len({xyz_transform(complete_graph(3), c) for c in list_cases()}) == 16
 
     def test_shared_oracles_change_no_result(self):
-        # verify_case takes every case on its own, with nothing shared between cases: its case's
-        # complement is not asked for, so its oracle is a lone charpoly, and run_corpus's come
-        # from charpoly_pair
+        # verify_case takes every case on its own, with nothing shared between cases: its oracle
+        # is always the first polynomial of a pair, while run_corpus takes half of its oracles
+        # from the second, the complement's
         for gid, g in default_corpus():
             shared = run_corpus([(gid, g)]).results
             alone = [verify_case(g, c, gid) for c in list_cases()]
