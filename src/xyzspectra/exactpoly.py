@@ -64,6 +64,9 @@ class _Poly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through _poly, as __setattr__ refuses the slot
+        return _poly, (type(self), list(self.coeffs))
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

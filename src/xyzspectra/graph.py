@@ -123,19 +123,17 @@ def from_edge_list(n: int, pairs) -> Graph:
 
 
 def cycle_graph(k: int) -> Graph:
-    """Cycle C_k, k >= 3.  Edge j joins (j, j+1 mod k), normalized (min,max)."""
+    """Cycle C_k, k >= 3: the circulant on offset 1.  Edge j joins (j, j+1 mod k), normalized (min,max)."""
     if k < 3:
         raise InvalidParameter(f"cycle needs k >= 3, got {_shown(k)}")
-    edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
-    return Graph(k, tuple(edges))
+    return circulant_graph(k, [1])
 
 
 def complete_graph(k: int) -> Graph:
-    """Complete graph K_k, k >= 2.  Edges in lexicographic (u,v) order."""
+    """Complete graph K_k, k >= 2: the edgeless graph's complement.  Edges in lexicographic (u,v) order."""
     if k < 2:
         raise InvalidParameter(f"complete graph needs k >= 2, got {_shown(k)}")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    return Graph(k, tuple(edges))
+    return complement(Graph(k, ()))
 
 
 def complete_bipartite_graph(a: int) -> Graph:

@@ -1,12 +1,11 @@
 """Vertex-edge transformations of a graph.
 
-A transformation is selected by three symbols drawn from {0, 1, +, -}.
-The result lives on the disjoint union of the vertex set and the edge
-set: the first symbol picks the graph induced on the original vertices
-(empty, complete, the graph itself, or its complement), the second does
-the same on the edge part via the line graph, and the third chooses the
-cross edges between a vertex and an edge (none, all, incident pairs, or
-non-incident pairs).
+A transformation is selected by three symbols drawn from {0, 1, +, -}.  The result lives
+on the disjoint union of the vertex set and the edge set: the first symbol picks the graph
+on the original vertices, the second the same on the edge part via the line graph, and the
+third the cross pairs of a vertex and an edge.  One rule serves every symbol: 0 and 1 start
+from nothing, + and - from the graph (or from the incident pairs, for the cross pairs), and
+1 and - then take the complement (for the cross pairs, the rest of all n*m pairs).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, complete_graph, line_graph
+from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, line_graph
 
 __all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
@@ -49,31 +48,21 @@ class XyzCase:
 
 
 def part_graph(g: Graph, s: str) -> Graph:
-    """Graph induced on the vertex set by one symbol: empty, complete, g, or complement."""
-    if s == "0":
-        return Graph(g.n, ())
-    if s == "1":
-        return complete_graph(g.n) if g.n >= 2 else Graph(g.n, ())
-    if s == "+":
-        return g
-    if s == "-":
-        return complement(g)
-    raise InvalidParameter(f"unknown part symbol {s!r}")
+    """Graph induced on the vertex set by one symbol: 0 and 1 start from the edgeless graph,
+    + and - from g, and 1 and - take the complement (complete, or g's complement)."""
+    if s not in SYMBOLS:
+        raise InvalidParameter(f"unknown part symbol {s!r}")
+    base = g if s in "+-" else Graph(g.n, ())
+    return complement(base) if s in "1-" else base
 
 
 def cross_edges(g: Graph, z: str) -> list[tuple[int, int]]:
-    """Vertex-edge pairs selected by z, as (vertex index, edge index), vertex-major.
-
-    z="+" gives incident pairs, z="-" non-incident pairs, z="0" none, and
-    z="1" all n*m pairs.
-    """
-    if z == "0":
-        return []
-    if z == "1":
-        return [(v, j) for v in range(g.n) for j in range(g.m)]
-    if z in ("+", "-"):
-        return [(v, j) for v in range(g.n) for j, e in enumerate(g.edges) if (v in e) == (z == "+")]
-    raise InvalidParameter(f"unknown cross symbol {z!r}")
+    """Vertex-edge pairs selected by z, as (vertex index, edge index), vertex-major: 0 and 1 start
+    from none, + and - from the incident pairs, and 1 and - take the rest of all n*m pairs."""
+    if z not in SYMBOLS:
+        raise InvalidParameter(f"unknown cross symbol {z!r}")
+    base = sorted((v, j) for j, e in enumerate(g.edges) for v in e) if z in "+-" else []
+    return sorted({(v, j) for v in range(g.n) for j in range(g.m)}.difference(base)) if z in "1-" else base
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,9 @@ against direct substitution of known roots and against Sylvester-matrix
 Bareiss resultants at sample points joined the same way.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -806,6 +808,18 @@ def test_operator_results_are_canonical(a_coeffs, b_coeffs, k, f_grid, g_grid):
     assert (f + (-f)).grid == (f - f).grid == ()
 
 
+@seed(19670109)
+@settings(max_examples=100, deadline=None)
+@given(small_coeffs, small_grids, st.integers(-(2**80), 2**80))
+def test_pickle_and_copies_keep_type_equality_and_immutability(coeffs, grid, k):
+    for p in (k * IntPoly(coeffs), k * BiPoly(grid)):
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(twin) is type(p) and twin == p and hash(twin) == hash(p)
+            assert_canonical(twin)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.coeffs = ()
+
+
 @seed(19670108)
 @settings(max_examples=200, deadline=None)
 @given(small_grids, small_grids, st.integers(-3, 3), st.integers(-3, 3))
@@ -857,7 +871,8 @@ def int_matrices(draw):
     Zeros force the Hessenberg reduction to swap in pivots from below the
     subdiagonal, and the split leaves columns with nothing to eliminate."""
     n = draw(st.integers(0, 12))
-    flat = draw(st.lists(st.integers(-20, 20), min_size=n * n, max_size=n * n))
+    # one draw of n*n bytes, each mapped onto -20..20 with byte 0 on 0, so examples shrink to 0
+    flat = [(b + 20) % 41 - 20 for b in draw(st.binary(min_size=n * n, max_size=n * n))]
     if draw(st.booleans()):
         flat = [0 if x % 2 else x for x in flat]
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -884,7 +899,9 @@ def permuted_block_triangular(draw):
     n = draw(st.integers(1, 12))
     starts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
     block = [sum(s <= i for s in starts) for i in range(n)]
-    flat = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n * n, max_size=n * n))
+    # one draw of n*n bytes: an even byte is 0, an odd one maps onto -9..9 (0 on byte 1)
+    data = draw(st.binary(min_size=n * n, max_size=n * n))
+    flat = [0 if b % 2 == 0 else (b // 2 + 9) % 19 - 9 for b in data]
     rows = [[flat[i * n + j] if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
     perm = draw(st.permutations(range(n)))
     return IntMatrix.from_rows([[rows[a][b] for b in perm] for a in perm])

@@ -16,6 +16,7 @@ from xyzspectra.graph import (
     cycle_graph,
     format_edge_list,
     from_edge_list,
+    generate,
     line_graph,
     petersen_graph,
 )
@@ -27,6 +28,25 @@ from helpers import case
 
 # SHA-256 of the edge lists of all 64 transforms of K4, the Petersen graph and C5, in that order
 TRANSFORMS_SHA256 = "8015df7d2c653c8f8f91ec4d1562432100cd944a0220ef02a604a91b1221dc42"
+# SHA-256 of small_rule_blob(): the edge lists of the 64 transforms of K2, K3, 3K2 and 2C3, every
+# symbol's part and cross pairs on a one-vertex and two one-edge graphs, and small generated graphs
+SMALL_RULE_SHA256 = "06b4a9677018d57f1d37448fce2004c5eebec99752130f94b0cadd1f715d196a"
+GENERATED = [
+    *[("cycle", [k]) for k in range(3, 9)], *[("complete", [k]) for k in range(2, 8)],
+    *[("complete_bipartite", [a]) for a in range(1, 5)], *[("hypercube", [d]) for d in range(1, 5)],
+    ("petersen", []), ("circulant", [5, 1]), ("circulant", [6, 1, 2]), ("circulant", [6, 3]),
+    ("circulant", [7, 1, 3]), ("circulant", [8, 1, 4]), ("circulant", [8, 2]), ("circulant", [9, 3, 1]),
+]
+
+
+def small_rule_blob():
+    three_k2 = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])  # r = 1: edgeless line graph, m < n
+    two_c3 = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # disconnected
+    blob = [format_edge_list(xyz_transform(g, c))
+            for g in (complete_graph(2), complete_graph(3), three_k2, two_c3) for c in list_cases()]
+    blob += [format_edge_list(part_graph(g, s)) + f"{cross_edges(g, s)}\n"
+             for g in (Graph(1, ()), Graph(2, ((0, 1),)), Graph(3, ((2, 0),))) for s in transform.SYMBOLS]
+    return "".join(blob + [format_edge_list(generate(kind, params)) for kind, params in GENERATED])
 
 
 def edge_key_set(g):
@@ -143,6 +163,10 @@ class TestTransform:
                        for g in (complete_graph(4), petersen_graph(), cycle_graph(5))
                        for c in list_cases())
         assert hashlib.sha256(blob.encode()).hexdigest() == TRANSFORMS_SHA256
+
+    def test_small_graphs_parts_and_generators_pinned(self):
+        # the complement rule's edge cases: one vertex, one edge, r = 1, disconnected, K_n and C_k
+        assert hashlib.sha256(small_rule_blob().encode()).hexdigest() == SMALL_RULE_SHA256
 
     def test_line_graph_only_for_y_plus_or_minus(self, monkeypatch):
         # y = 0 and y = 1 read only m; the 32 cases with y = + or - share one line graph

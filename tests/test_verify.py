@@ -1,7 +1,9 @@
 """The oracle harness and the standalone identity checks."""
 
+import copy
 import dataclasses
 import json
+import pickle
 from unittest import mock
 
 import pytest
@@ -221,6 +223,11 @@ class TestReportJson:
         doc1.pop("runtime_seconds")
         doc2.pop("runtime_seconds")
         assert doc1 == doc2
+
+    def test_report_survives_pickle_and_deepcopy(self):
+        report = run_corpus([("C5", cycle_graph(5))])
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin == report and report_to_json(twin) == report_to_json(report)
 
     def test_coefficients_are_decimal_strings(self):
         doc = json.loads(report_to_json(run_corpus([("K3", complete_graph(3))], [case("111")])))
