@@ -7,7 +7,7 @@ resultant over Z[x]), with a bound on their l1 norm and their value at one integ
 point (the same resultant loop over Z).  One ring arithmetic serves both polynomial
 classes: IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over
 IntPoly in the first, the layout the resultant in the second variable reads.  No floating
-point; every result is exact by a proven bound.  charpoly_pair takes M and (N - 2)I + J - M at once.
+point; every result is exact by a proven bound.  charpoly_pair takes a graph's Q and its complement's at once.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
@@ -19,6 +19,7 @@ from itertools import count
 from math import isqrt, prod
 from operator import index, mul
 
+from .graph import Graph
 from .linalg import IntMatrix, NotSquare
 
 __all__ = [
@@ -366,27 +367,38 @@ def charpoly(mat: IntMatrix) -> IntPoly:
             return _charpoly_mod(mat.entries, (1 << (e := _prime_above(e))) - 1)
 
 
-def charpoly_pair(mat: IntMatrix) -> tuple[IntPoly, IntPoly]:
-    """(charpoly(M), charpoly((N - 2)I + J - M)): for a graph's Q, the graph's and its complement's.
+def charpoly_pair(g: Graph) -> tuple[IntPoly, IntPoly]:
+    """(charpoly(Q(g)), charpoly(Q(complement(g)))) from one reduction, set up from g's edge list.
 
-    charpoly's reduction fixes e_0, so on S^-1 M S, S = I + sum_(i>=1) e_i e_0^T, it gives H = L^-1 M L
-    with L e_0 = S e_0 = 1; the row 1^T S below takes its column operations and ends as w^T = 1^T L, so
-    L^-1 J L = e_0 w^T and (N - 2)I + e_0 w^T - H is upper Hessenberg.  p is above both Hadamard bounds."""
-    if not mat.is_square:
-        raise NotSquare("charpoly_pair: matrix must be square")
-    n, ms = mat.rows, [(sum(row), *row[1:]) for row in mat.entries]  # M S: column 0 is M 1
-    rows = ms[:1] + [[x - y for x, y in zip(r, ms[0])] for r in ms[1:]] + [[n, *[1] * (n - 1)][:n]]
-    sums = [(sum(row), sum(map(mul, row, row)), row[i]) for i, row in enumerate(mat.entries)]
-    e = max(prod(2 + isqrt(q) for _, q, _ in sums),
-            prod(2 + isqrt(n - 2 * s + q + (n - 2) * (n - 2 * d)) for s, q, d in sums)).bit_length()
+    Bounds: row i of Q holds d_i once and 1 d_i times, so sum_j a_ij^2 = d_i^2 + d_i; the complement's
+    Q = (N - 2)I + J - Q holds N - 1 - d_i for d_i, so (N - 1 - d_i)(N - d_i).  p is above both bounds.
+    Rows: the reduction fixes e_0, so on S^-1 Q S, S = I + sum_(i>=1) e_i e_0^T, it gives H = L^-1 Q L with
+    L e_0 = S e_0 = 1.  Column 0 of Q S is Q 1 = 2 deg, the others are Q's.  Row i >= 1 of S^-1 Q S is row i
+    of Q S less row 0, which is nonzero only at column 0 and at vertex 0's neighbours, so only those entries
+    can leave [0, p).  The row 1^T S below takes the column operations and ends as w^T = 1^T L, so
+    L^-1 J L = e_0 w^T.  Complement: L^-1 Q(complement) L = (N - 2)I + e_0 w^T - H = -H', where
+    H' = H - e_0 w^T - (N - 2)I is H with row 0 and the diagonal rewritten; as charpoly(-H')(x) =
+    (-1)^N charpoly(H')(-x), coefficient j of charpoly(H') takes the sign (-1)^(N - j)."""
+    n, deg = g.n, g.degrees()
+    e = max(prod(2 + isqrt(d * d + d) for d in deg),
+            prod(2 + isqrt((n - 1 - d) * (n - d)) for d in deg)).bit_length()
     while True:  # as charpoly's
         with suppress(ValueError):
-            p = (1 << (e := _prime_above(e))) - 1
-            *h, w = _hessenberg([[x % p for x in r] for r in rows], p)  # S^-1 M S, then 1^T S
-            comp = [[(y - x) % p for x, y in zip(r, w)] for r in h[:1]] + [[p - x for x in r] for r in h[1:]]
-            for i, row in enumerate(comp):  # e_0 w^T - H, each entry in [0, p], plus (N - 2)I
-                row[i] = (row[i] + n - 2) % p
-            return _hessenberg_charpoly(h, p), _hessenberg_charpoly(comp, p)
+            p, rows = (1 << (e := _prime_above(e))) - 1, [[0] * n for _ in range(n)]
+            for u, v in g.edges:
+                rows[u][v] = rows[v][u] = 1
+            for i, row in enumerate(rows):  # Q S: Q with column 0 = Q 1 = 2 deg
+                row[i], row[0] = deg[i], 2 * deg[i]
+            hood = [j for j in range(1, n) if rows[0][j]]  # vertex 0's neighbours
+            for row in rows[1:]:  # S^-1 (Q S): row 0 taken from each row below it
+                row[0] = (row[0] - 2 * deg[0]) % p
+                for j in hood:
+                    row[j] = (row[j] - 1) % p
+            *h, w = _hessenberg([*rows, [n, *[1] * (n - 1)]], p)  # S^-1 Q S, then 1^T S
+            f, h[0] = _hessenberg_charpoly(h, p), [(x - y) % p for x, y in zip(h[0], w)]
+            for i, row in enumerate(h):  # H': row 0 rewritten above, the diagonal here
+                row[i] = (row[i] - n + 2) % p
+            return f, _intpoly([(-1) ** (n - j) * c for j, c in enumerate(_hessenberg_charpoly(h, p).coeffs)])
 
 
 @lru_cache(maxsize=None)  # keyed by bit lengths of bounds: a few dozen in a long run

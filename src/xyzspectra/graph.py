@@ -187,15 +187,8 @@ def circulant_graph(k: int, offsets) -> Graph:
     if len(set(folded)) != len(folded):
         raise InvalidParameter(f"offsets {_shown(list(offsets))} collide mod {_shown(k)}")
     folded.sort()
-    edges = []
-    seen = set()
-    for i in range(k):
-        for s in folded:
-            e = tuple(sorted((i, (i + s) % k)))
-            if e not in seen:
-                seen.add(e)
-                edges.append(e)
-    return Graph(k, tuple(edges))
+    edges = dict.fromkeys(tuple(sorted((i, (i + s) % k))) for i in range(k) for s in folded)
+    return Graph(k, tuple(edges))  # each edge at its first (i, s)
 
 
 # kind -> (generator, parameter count, n + m of the graph it builds).  The

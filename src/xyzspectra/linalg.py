@@ -3,8 +3,8 @@
 Everything downstream depends on exactness, so entries are plain Python
 ints and no floating point appears anywhere.  A matrix has at most n + m
 rows, which the edge-list header limits to 1000, so dense row tuples are
-the simplest correct storage.  The characteristic polynomial reads those
-row tuples directly; the schoolbook product serves the identity checks.
+the simplest correct storage for charpoly (charpoly_pair reads edge lists);
+the schoolbook product serves the identity checks.
 A, D, L and Q are each d*D + a*A, built in one pass over the edge list.
 """
 

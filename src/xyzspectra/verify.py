@@ -122,7 +122,7 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         try:
             if (pair := oracles.get(t := xyz_transform(g, case))) is None:
                 tbar = xyz_transform(g, case.complement())  # kept already if t's graph is, in another order
-                pair = oracles[tbar][::-1] if tbar in oracles else charpoly_pair(signless_laplacian(t))
+                pair = oracles[tbar][::-1] if tbar in oracles else charpoly_pair(t)
                 oracles[t], oracles[tbar] = pair, pair[::-1]
             oracle = pair[0]
             formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)

@@ -300,9 +300,9 @@ class TestVerify:
             dims.append(mat.rows)
             return charpoly(mat)
 
-        def counting_pairs(mat):
-            pair_dims.append(mat.rows)
-            return charpoly_pair(mat)
+        def counting_pairs(g):
+            pair_dims.append(g.n)
+            return charpoly_pair(g)
 
         monkeypatch.setattr(verify, "charpoly", counting)
         monkeypatch.setattr(verify, "charpoly_pair", counting_pairs)

@@ -44,7 +44,7 @@ from xyzspectra.exactpoly import (
     signed_digits,
 )
 from xyzspectra.formulas import list_cases
-from xyzspectra.graph import Graph, circulant_graph, complete_graph, cycle_graph, petersen_graph
+from xyzspectra.graph import Graph, circulant_graph, complement, complete_graph, cycle_graph, petersen_graph
 from xyzspectra.linalg import IntMatrix, NotSquare, signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
 
@@ -437,13 +437,6 @@ def _record_moduli(monkeypatch) -> list:
     return moduli
 
 
-def complement_matrix(mat):
-    """(N - 2)I + J - M: for a graph's Q, the complement's Q."""
-    n = mat.rows
-    return IntMatrix.from_rows([[(i == j) * (n - 2) + 1 - x for j, x in enumerate(row)]
-                                for i, row in enumerate(mat.entries)])
-
-
 def hadamard_bits(mat):
     """bits(B), B = prod_i (2 + isqrt(sum_j a_ij^2)), the bound charpoly's modulus is taken above."""
     return prod(2 + isqrt(sum(x * x for x in row)) for row in mat.entries).bit_length()
@@ -464,27 +457,24 @@ class TestCharpolyPair:
     def test_complement_bound_dominates(self):
         # Q of the edgeless graph on 20 vertices is 0, with Hadamard bound 2^20; its complement's
         # Q = 18I + J, of K20, has bound 21^20 (88 bits) and a constant term 38 * 18^19 of 85
-        # bits, so a modulus taken from M's bound alone would wrap it
-        q = signless_laplacian(Graph(20, ()))
+        # bits, so a modulus taken from Q's bound alone would wrap it
+        g = Graph(20, ())
+        q = signless_laplacian(g)
         assert q.entries == ((0,) * 20,) * 20
-        assert charpoly_pair(q) == (IntPoly.x() ** 20, from_roots(38, *[18] * 19))
+        assert charpoly_pair(g) == (IntPoly.x() ** 20, from_roots(38, *[18] * 19))
         assert hadamard_bits(q) == 21 and (38 * 18**19).bit_length() == 85 > exactpoly._prime_above(21)
-        assert hadamard_bits(complement_matrix(q)) == 88
+        assert hadamard_bits(signless_laplacian(complement(g))) == 88
 
     def test_non_unit_pivot_retries_at_the_next_prime(self):
-        # row sums 25, 2 and 3 put 2 - 25 = -23 on the subdiagonal of S^-1 M S and -22 below it;
-        # both bounds have 9 bits, so e = 11 and p = 2047 = 23 * 89, where -23 has no inverse,
-        # and the retry at e = 13 gives the exact pair
-        mat = IntMatrix.from_rows([[1, 1, 23], [3, 0, -1], [1, 0, 2]])
-        comp = complement_matrix(mat)
-        assert hadamard_bits(mat) == hadamard_bits(comp) == 9
+        # both bounds of this graph on 8 vertices have at most 22 bits, so e = 23 and
+        # p = 2^23 - 1 = 47 * 178481, where a pivot of S^-1 Q S has no inverse; the retry at
+        # e = 29 gives the exact pair
+        g = Graph(8, ((0, 7), (1, 4), (1, 5), (1, 6), (2, 5), (2, 6), (4, 7), (5, 6), (5, 7)))
+        q, qbar = signless_laplacian(g), signless_laplacian(complement(g))
+        assert max(hadamard_bits(q), hadamard_bits(qbar)) <= 22
         with recording_pair_moduli(moduli := []):
-            assert charpoly_pair(mat) == (berkowitz_charpoly(mat), berkowitz_charpoly(comp))
-        assert moduli == [2**11 - 1, 2**13 - 1]
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NotSquare):
-            charpoly_pair(IntMatrix.from_rows([[1, 2]]))
+            assert charpoly_pair(g) == (bareiss_charpoly(q), bareiss_charpoly(qbar))
+        assert moduli == [2**23 - 1, 2**29 - 1]
 
 
 class TestDet:
@@ -921,38 +911,36 @@ def test_charpoly_of_permuted_block_triangular_matches_bareiss(mat):
 
 
 @st.composite
-def pair_matrices(draw):
-    """Square integer matrices for charpoly_pair: int_matrices' (negative entries, zeros, block
-    upper triangular, symmetric), permuted block triangular ones, block-diagonal pairs of those
-    and Q of random graphs on 2-12 vertices, whose complement part is a graph's Q again."""
-    kind = draw(st.sampled_from(["any", "permuted", "block diagonal", "graph"]))
-    if kind == "any":
-        return draw(int_matrices())
-    if kind == "permuted":
-        return draw(permuted_block_triangular())
-    if kind == "block diagonal":
-        a, b = draw(int_matrices()).entries, draw(permuted_block_triangular()).entries
-        zeros_a, zeros_b = [0] * len(a), [0] * len(b)
-        return IntMatrix.from_rows([[*row, *zeros_b] for row in a] + [[*zeros_a, *row] for row in b])
-    n = draw(st.integers(2, 12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return signless_laplacian(Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True)))))
+def pair_graphs(draw):
+    """Graphs on 1-12 vertices for charpoly_pair: random edge sets, edgeless and complete graphs,
+    or two of those side by side (disconnected), relabelled by a drawn permutation."""
+    def part(n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+        if kind == "random" and pairs:
+            return draw(st.lists(st.sampled_from(pairs), unique=True))
+        return pairs if kind == "complete" else []
+
+    n = draw(st.integers(1, 12))
+    split = draw(st.integers(1, n))  # below n: one part on 0..split-1, another on the rest
+    edges = part(split) + [(u + split, v + split) for u, v in part(n - split)] if split < n else part(n)
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
 
 
 @seed(20131020)
 @settings(max_examples=200, deadline=None)
-@example(mat=IntMatrix.from_rows([[-7]]))
-@example(mat=IntMatrix.from_rows([[0, 0], [0, 0]]))
-@example(mat=IntMatrix.from_rows([[0, -3], [5, 2]]))
-@given(mat=pair_matrices())
-def test_charpoly_pair_matches_references(mat):
-    comp = complement_matrix(mat)
+@example(g=Graph(1, ()))
+@example(g=Graph(2, ()))
+@example(g=Graph(2, ((0, 1),)))
+@given(g=pair_graphs())
+def test_charpoly_pair_matches_references(g):
+    q, qbar = signless_laplacian(g), signless_laplacian(complement(g))
     with recording_pair_moduli(moduli := []):
-        pair = charpoly_pair(mat)
-    assert pair == (charpoly(mat), charpoly(comp))
-    assert pair == (bareiss_charpoly(mat), bareiss_charpoly(comp))
-    # the complement's bound, taken from M's row sums, equals the built complement's
-    assert moduli[0] == 2 ** exactpoly._prime_above(max(hadamard_bits(mat), hadamard_bits(comp))) - 1
+        pair = charpoly_pair(g)
+    assert pair == (bareiss_charpoly(q), bareiss_charpoly(qbar))
+    # the bounds, taken from the degrees, equal the built matrices' row bounds
+    assert moduli[0] == 2 ** exactpoly._prime_above(max(hadamard_bits(q), hadamard_bits(qbar))) - 1
 
 
 def test_widest_slot_sum_does_not_carry():

@@ -1,0 +1,132 @@
+"""Every r-regular graph on at most 8 vertices, each through all 64 cases of the oracle harness.
+
+The graphs are generated, not listed.  A breadth-first search starts from one circulant and
+applies every double-edge switch ab, cd -> ac, bd, which keeps each degree.  The switches connect
+all labelled r-regular graphs on one vertex set (R. Taylor, "Constrained switchings in graphs",
+1981), so the search reaches every isomorphism class.  Classes are keyed by a canonical form:
+colour refinement with individualisation (B. McKay, "Practical graph isomorphism", 1981).  A degree
+above (n - 1)/2 takes the complements of degree n - 1 - r, as a canonical labelling of a graph is
+one of its complement.
+"""
+
+import hashlib
+from functools import cache
+from itertools import combinations
+
+from xyzspectra.graph import Graph, hypercube_graph
+from xyzspectra.verify import run_corpus
+
+MAX_ORDER = 8
+
+
+def refine(adj: list, colours: list) -> list:
+    """The coarsest equitable refinement of colours: each cell splits by its vertices' multisets of
+    neighbour colours until none splits.  New colours sort by (old colour, multiset), so the result
+    depends on no vertex label."""
+    while True:
+        keys = [(colours[v], tuple(sorted(colours[u] for u in adj[v]))) for v in range(len(adj))]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        split, colours = len(rank) > len(set(colours)), [rank[key] for key in keys]
+        if not split:
+            return colours
+
+
+def canonical_form(n: int, edges) -> tuple:
+    """The least sorted edge tuple over the leaves of the individualisation-refinement tree: at each
+    node the first cell of two or more vertices is split, one vertex of it at a time."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = None
+
+    def search(colours):
+        nonlocal best
+        colours = refine(adj, colours)
+        cells = [c for c in range(n) if colours.count(c) > 1]
+        if not cells:
+            form = tuple(sorted(tuple(sorted((colours[u], colours[v]))) for u, v in edges))
+            best = form if best is None else min(best, form)
+            return
+        for v in [v for v in range(n) if colours[v] == cells[0]]:  # v before the rest of its cell
+            search([2 * c + (c == cells[0] and u != v) for u, c in enumerate(colours)])
+
+    search([0] * n)
+    return best
+
+
+def regular_forms(n: int, r: int) -> set:
+    """The canonical forms of the r-regular graphs on n vertices, r <= (n - 1)/2 and rn even."""
+    if r == 0:  # no switch, and a search tree of n! leaves
+        return {()}
+    offsets = [*range(1, r // 2 + 1), *([n // 2] if r % 2 else [])]
+    start = canonical_form(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in offsets})
+    seen, queue = {start}, [start]
+    for form in queue:  # breadth first: queue grows behind the loop
+        edges = set(form)
+        for (a, b), (c, d) in combinations(form, 2):
+            if len({a, b, c, d}) < 4:
+                continue
+            for x, y in ((a, c), (b, d)), ((a, d), (b, c)):
+                x, y = tuple(sorted(x)), tuple(sorted(y))
+                if x not in edges and y not in edges:
+                    if (new := canonical_form(n, edges - {(a, b), (c, d)} | {x, y})) not in seen:
+                        seen.add(new)
+                        queue.append(new)
+    return seen
+
+
+@cache
+def regular_graphs() -> dict:
+    """(n, r) -> the sorted canonical forms of the r-regular graphs on n <= MAX_ORDER vertices."""
+    out = {}
+    for n in range(1, MAX_ORDER + 1):
+        pairs = set(combinations(range(n), 2))
+        for r in range(n):
+            if r * n % 2:
+                continue
+            if 2 * r <= n - 1:
+                out[n, r] = sorted(regular_forms(n, r))
+            else:  # degree n - 1 - r < r is already in
+                out[n, r] = sorted(tuple(sorted(pairs - set(f))) for f in out[n, n - 1 - r])
+    return out
+
+
+def test_counts_per_order_match_oeis_a005176():
+    # regular graphs on n vertices, any degree, the edgeless graph included
+    graphs = regular_graphs()
+    per_order = [sum(len(forms) for (n, _), forms in graphs.items() if n == k) for k in range(1, 9)]
+    assert per_order == [1, 2, 2, 4, 3, 8, 6, 22]
+    per_degree = {n: [len(graphs.get((n, r), ())) for r in range(n)] for n in range(1, 9)}
+    assert per_degree == {
+        1: [1], 2: [1, 1], 3: [1, 0, 1], 4: [1, 1, 1, 1], 5: [1, 0, 1, 0, 1],
+        6: [1, 1, 2, 2, 1, 1], 7: [1, 0, 2, 0, 2, 0, 1], 8: [1, 1, 3, 6, 6, 3, 1, 1],
+    }
+
+
+def test_canonical_forms_digest():
+    text = repr(sorted((n, r, form) for (n, r), forms in regular_graphs().items() for form in forms))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5e7270a22ffe62268dc604bbc785bd0bd4678556e247e035f0b17077f994df64"
+    )
+
+
+def test_canonical_form_ignores_labels():
+    # the 3-cube under a relabelling and as the 4-prism, against a twisted prism that is not a cube
+    cube = hypercube_graph(3).edges
+    perm = [5, 2, 7, 0, 3, 6, 1, 4]
+    relabelled = [(perm[u], perm[v]) for u, v in cube]
+    assert canonical_form(8, cube) == canonical_form(8, relabelled)
+    prism = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)]
+    assert canonical_form(8, prism) == canonical_form(8, cube)
+    twisted = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (1, 6), (2, 5), (3, 7)]
+    assert canonical_form(8, twisted) != canonical_form(8, cube)
+
+
+def test_every_regular_graph_matches_on_all_64_cases():
+    graphs = [(f"n{n}r{r}#{i}", Graph(n, form)) for (n, r), forms in regular_graphs().items() if r >= 1
+              for i, form in enumerate(forms)]
+    assert len(graphs) == 40  # K2 included
+    report = run_corpus(graphs)
+    assert report.failures == ()
+    assert len(report.results) == 40 * 64
