@@ -1,19 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 irregular input graph, 4 formula evaluation error.  An edgeless input
-graph exits 2 from transform, formula and verify; charpoly accepts it.
-gen and transform exit 2, before building anything, when the graph they
-would write has n + m above graph.MAX_HEADER_ORDER (1000), the limit every
-edge-list header obeys.  verify exits 2, before any charpoly, when n + m exceeds
-MAX_VERIFY_ORDER (100); formula keeps only the header limit.  An input
-file that cannot be read, decoded as UTF-8 or parsed, or an output file
-that cannot be written, exits 2 with one "<cmd>: ..." stderr line; corpus
-checks its --report path before the run.  When stdout's reader has gone
-(a pipe into head -n 1), the command ends quietly with exit 141, the
-shell's 128 + SIGPIPE.  Polynomial output is the ascending coefficient
-list in decimal, one line, so runs over the same input are byte-identical.
-Data goes to stdout, diagnostics to stderr.
+3 irregular input graph, 4 formula evaluation error.  A command refuses by raising;
+main maps OSError and GraphError to 2 (an input file that cannot be read, decoded
+as UTF-8 or parsed, an output file that cannot be written, an edgeless graph given
+to transform, formula or verify) and PreconditionViolated to 3, each with one
+"<cmd>: ..." stderr line.  formula maps its own descriptor errors to 4; charpoly
+accepts an edgeless graph.  gen and transform exit 2, before building anything,
+when the graph they would write has n + m above graph.MAX_HEADER_ORDER (1000), the
+limit every edge-list header obeys.  verify exits 2, before any charpoly, when n + m
+exceeds MAX_VERIFY_ORDER (100); formula keeps only the header limit.  corpus checks
+its --report path before the run.  When stdout's reader has gone (head -n 1 read
+its line), the command ends quietly with exit 141, the shell's 128 + SIGPIPE.
+Polynomial output is one line of ascending decimal coefficients, byte-identical
+across runs.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .formulas import (
 from .graph import Graph, GraphError, _shown, format_edge_list, generate, parse_edge_list, regularity
 from .linalg import adjacency, laplacian, signless_laplacian
 from .transform import XyzCase, transform_size, xyz_transform
-from .verify import default_corpus, report_to_json, run_corpus
+from .verify import PreconditionViolated, default_corpus, report_to_json, run_corpus
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -63,15 +63,13 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _load_regular(cmd: str, path: str):
-    """Load a regular graph with edges: (graph, r), or (None, exit code) after
-    one stderr line naming cmd.  Read and parse errors go up to main."""
+def _load_regular(path: str) -> tuple[Graph, int]:
+    """A regular graph with edges and its degree; main maps each refusal to its exit code."""
     g = _load_graph(path)
-    r = regularity(g)
-    if r is None:
-        return None, _fail(EXIT_IRREGULAR, f"{cmd}: input graph is not regular")
+    if (r := regularity(g)) is None:
+        raise PreconditionViolated("input graph is not regular")
     if g.m < 1:
-        return None, _fail(EXIT_USAGE, f"{cmd}: input graph has no edges")
+        raise graph.EmptyEdgeSet("input graph has no edges")
     return g, r
 
 
@@ -85,20 +83,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_gen(args) -> int:
     try:
-        g = generate(args.kind, [int(token := p) for p in args.params])
-    except GraphError as exc:
-        return _fail(EXIT_USAGE, f"gen: {exc}")
+        params = [int(token := p) for p in args.params]
     except ValueError:  # int()'s own message would quote up to 200 characters of the token
         return _fail(EXIT_USAGE, f"gen: parameter {_shown(repr(token))} is not an int of at most 4300 digits")
-    _emit(format_edge_list(g), args.out)
+    _emit(format_edge_list(generate(args.kind, params)), args.out)
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
     case = XyzCase.parse(args.case)
-    g, r = _load_regular("transform", args.input)
-    if g is None:
-        return r
+    g, r = _load_regular(args.input)
     if (order := sum(transform_size(g, case))) > (limit := graph.MAX_HEADER_ORDER):
         return _fail(EXIT_USAGE, f"transform: n + m = {order} of case {case} exceeds the limit {limit}")
     _emit(format_edge_list(xyz_transform(g, case)), args.out)
@@ -113,9 +107,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_formula(args) -> int:
     case = XyzCase.parse(args.case)
-    g, r = _load_regular("formula", args.input)
-    if g is None:
-        return r
+    g, r = _load_regular(args.input)
     desc = descriptor_for(case)
     f = charpoly(signless_laplacian(g))
     try:
@@ -130,9 +122,7 @@ def cmd_formula(args) -> int:
 def cmd_verify(args) -> int:
     if (args.case is None) == (not args.all):
         return _fail(EXIT_USAGE, "verify: pass exactly one of --case or --all")
-    g, r = _load_regular("verify", args.input)
-    if g is None:
-        return r
+    g, r = _load_regular(args.input)
     if (order := g.n + g.m) > MAX_VERIFY_ORDER:
         return _fail(EXIT_USAGE, f"verify: n + m = {order} exceeds the verify limit {MAX_VERIFY_ORDER}")
     cases = list_cases() if args.all else [XyzCase.parse(args.case)]
@@ -210,8 +200,10 @@ def main(argv=None) -> int:
         # devnull so that the interpreter's flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (OSError, GraphError) as exc:  # a file not read or written, or malformed input
+    except (OSError, GraphError) as exc:  # a file not read or written, malformed or edgeless input
         return _fail(EXIT_USAGE, f"{args.command}: {exc}")
+    except PreconditionViolated as exc:  # an input graph outside the paper's hypothesis
+        return _fail(EXIT_IRREGULAR, f"{args.command}: {exc}")
     return code
 
 

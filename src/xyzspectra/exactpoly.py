@@ -364,7 +364,8 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     e = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
     while True:  # e goes from bits(B) to the least prime above it, then to the next prime
         with suppress(ValueError):  # when a pivot shares a factor with 2^e - 1
-            return _charpoly_mod(mat.entries, (1 << (e := _prime_above(e))) - 1)
+            p = (1 << (e := _prime_above(e))) - 1
+            return _hessenberg_charpoly(_hessenberg([[x % p for x in row] for row in mat.entries], p), p)
 
 
 def charpoly_pair(g: Graph) -> tuple[IntPoly, IntPoly]:
@@ -404,11 +405,6 @@ def charpoly_pair(g: Graph) -> tuple[IntPoly, IntPoly]:
 @lru_cache(maxsize=None)  # keyed by bit lengths of bounds: a few dozen in a long run
 def _prime_above(k: int) -> int:
     return next(q for q in count(k + 1) if all(q % d for d in range(2, isqrt(q) + 1)))
-
-
-def _charpoly_mod(rows, p: int) -> IntPoly:
-    """charpoly of the square rows modulo p = 2^e - 1, lifted; ValueError when a pivot is not a unit."""
-    return _hessenberg_charpoly(_hessenberg([[x % p for x in row] for row in rows], p), p)
 
 
 def _hessenberg(h: list, p: int) -> list:

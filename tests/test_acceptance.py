@@ -11,9 +11,11 @@ import random
 
 import pytest
 
-from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, eig_product, exact_div
+from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, charpoly_pair, eig_product, exact_div
 from xyzspectra.formulas import descriptor_for, formula_charpoly, list_cases
 from xyzspectra.graph import (
+    Graph,
+    complement,
     complete_graph,
     cycle_graph,
     from_edge_list,
@@ -32,6 +34,7 @@ from xyzspectra.verify import (
 )
 
 from helpers import from_roots
+from test_regular_graphs import canonical_form
 
 
 def _announce(tag: str, ok: bool, detail: str = "") -> None:
@@ -267,4 +270,47 @@ def test_criterion_7_cospectral_mates_by_brute_force():
         if a != b:
             violations.append(f"{case}: oracle charpolys differ")
     _announce("criterion 7: Q-cospectral mates, Shrikhande and K4xK4, in all 64 cases", not violations)
+    assert not violations, violations[:5]
+
+
+# The Q-cospectral pairs among the regular graphs on 10 vertices, found by test_regular_graphs's
+# search and written as their canonical forms, an edge "ab" joining vertices a and b: (degree, pair)
+# -> the pair's two forms.  Two pairs of 4-regular graphs, and the 5-regular pairs of their complements.
+COSPECTRAL_ON_10 = {
+    (4, "A"): ("01 02 03 04 12 13 14 25 26 35 37 48 49 56 57 68 69 78 79 89",
+               "01 02 03 04 12 13 15 24 27 35 36 46 48 57 59 68 69 78 79 89"),
+    (4, "B"): ("01 02 03 04 12 13 14 25 26 35 38 47 49 56 57 68 69 78 79 89",
+               "01 02 03 04 12 13 15 24 26 35 38 47 49 56 57 68 69 78 79 89"),
+    (5, "A"): ("01 02 03 04 05 12 13 14 16 25 26 27 37 38 39 47 48 49 56 58 59 68 69 78 79",
+               "01 02 03 04 05 12 13 16 17 24 26 28 34 38 39 47 49 56 57 58 59 67 69 78 89"),
+    (5, "B"): ("01 02 03 04 05 12 13 14 16 25 26 27 36 38 39 47 48 49 57 58 59 68 69 78 79",
+               "01 02 03 04 05 12 13 14 16 25 27 29 36 37 38 46 48 49 56 57 58 69 78 79 89"),
+}
+
+
+def _graphs_on_10(r, pair):
+    return [Graph(10, tuple((int(e[0]), int(e[1])) for e in text.split())) for text in COSPECTRAL_ON_10[r, pair]]
+
+
+@pytest.mark.parametrize("r, pair", COSPECTRAL_ON_10)
+def test_criterion_7_cospectral_pairs_on_10_vertices(r, pair):
+    """Criterion 7 on every Q-cospectral pair of regular graphs on 10 vertices: two canonical forms
+    that differ (not isomorphic), equal Q-polynomials, and equal oracle charpolys in all 64 cases."""
+    a, b = _graphs_on_10(r, pair)
+    violations = []
+    forms = [canonical_form(10, g.edges) for g in (a, b)]
+    if forms != [a.edges, b.edges] or forms[0] == forms[1]:
+        violations.append("the pinned forms are not two distinct canonical forms")
+    if r == 5 and [canonical_form(10, complement(g).edges) for g in _graphs_on_10(4, pair)] != forms:
+        violations.append(f"not the complements of 4-regular pair {pair}")
+    if not regularity(a) == regularity(b) == r:
+        violations.append(f"not both {r}-regular")
+    if charpoly(signless_laplacian(a)) != charpoly(signless_laplacian(b)):
+        violations.append("the base graphs are not Q-cospectral")
+    for case in list_cases():
+        if case.x in "0+":  # charpoly_pair gives the oracle of case and of case.complement()
+            if charpoly_pair(xyz_transform(a, case)) != charpoly_pair(xyz_transform(b, case)):
+                violations.append(f"{case} or {case.complement()}: oracle charpolys differ")
+    _announce(f"criterion 7: Q-cospectral {r}-regular pair {pair} on 10 vertices, in all 64 cases",
+              not violations)
     assert not violations, violations[:5]

@@ -19,7 +19,7 @@ from xyzspectra.graph import complete_graph, format_edge_list, from_edge_list, p
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.graph import cycle_graph
 from xyzspectra.transform import xyz_transform
-from xyzspectra.verify import default_corpus
+from xyzspectra.verify import PreconditionViolated, default_corpus
 
 
 @pytest.fixture
@@ -343,6 +343,18 @@ class TestVerify:
         monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 6)
         assert cli.main(["verify", k3_file, "--all"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 64
+
+    def test_precondition_violated_exits_3(self, k3_file, monkeypatch, capsys):
+        # main maps a PreconditionViolated raised anywhere under a command to exit 3 and one
+        # "<cmd>: <message>" stderr line, not only the one the input check raises
+        def refuse(graphs, cases=None):
+            raise PreconditionViolated("a precondition of the run failed")
+
+        monkeypatch.setattr(cli, "run_corpus", refuse)
+        assert cli.main(["verify", k3_file, "--all"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify: a precondition of the run failed\n"
 
     def test_formula_keeps_only_the_header_limit(self, k3_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 5)

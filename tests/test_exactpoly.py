@@ -204,8 +204,12 @@ class TestArithmetic:
         assert exact_div(poly(-1, 0, 1), poly(-1, 1)) == poly(1, 1)
 
     def test_exact_div_not_divisible(self):
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
             exact_div(poly(1, 0, 1), poly(-1, 1))
+        with pytest.raises(NotDivisible, match="degree 1 < 2"):
+            exact_div(poly(1, 1), poly(1, 0, 1))
+        with pytest.raises(NotDivisible, match="leading coefficient does not divide"):
+            exact_div(poly(1, 1), poly(1, 2))  # x + 1 over 2x + 1
 
     def test_pow_binomial(self):
         assert poly(-2, 1) ** 3 == poly(-8, 12, -6, 1)
@@ -408,42 +412,26 @@ class TestCharpoly:
         big = 2 * 2**11211  # no ceiling: B = 2^11212 + 2 takes e = 11239
         assert charpoly(IntMatrix.from_rows([[big]])) == IntPoly.linear_root(big)
 
-    def test_modulus_one_bit_above_the_bound(self, monkeypatch):
+    def test_modulus_one_bit_above_the_bound(self):
         # B = 2^60 - 1 has 60 bits and 61 is prime, so p = 2^61 - 1 = 2B + 1, the least
         # modulus that lifts every |c| <= B; +-(2^60 - 3) lift exactly
-        moduli = _record_moduli(monkeypatch)
-        for a in (2**60 - 3, 3 - 2**60):
-            assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
+        with recording_moduli(moduli := []):
+            for a in (2**60 - 3, 3 - 2**60):
+                assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
         assert moduli == [2**61 - 1] * 2
 
-    def test_non_unit_pivot_retries_at_the_next_prime(self, monkeypatch):
+    def test_non_unit_pivot_retries_at_the_next_prime(self):
         # B = 3 * 25 * 5 has 9 bits, so e = 11 and p = 2047 = 23 * 89: the pivot 23 has
         # no inverse mod p, and the retry at e = 13 gives the exact polynomial
-        moduli = _record_moduli(monkeypatch)
         mat = IntMatrix.from_rows([[1, 0, 0], [23, 2, 0], [1, 0, 3]])
-        assert charpoly(mat) == from_roots(1, 2, 3) == berkowitz_charpoly(mat)
+        with recording_moduli(moduli := []):
+            assert charpoly(mat) == from_roots(1, 2, 3) == berkowitz_charpoly(mat)
         assert moduli == [2**11 - 1, 2**13 - 1]
 
 
-def _record_moduli(monkeypatch) -> list:
-    """The moduli charpoly reduces by, in order, recorded while the test runs."""
-    moduli, kernel = [], exactpoly._charpoly_mod
-
-    def recording(rows, p):
-        moduli.append(p)
-        return kernel(rows, p)
-
-    monkeypatch.setattr(exactpoly, "_charpoly_mod", recording)
-    return moduli
-
-
-def hadamard_bits(mat):
-    """bits(B), B = prod_i (2 + isqrt(sum_j a_ij^2)), the bound charpoly's modulus is taken above."""
-    return prod(2 + isqrt(sum(x * x for x in row)) for row in mat.entries).bit_length()
-
-
-def recording_pair_moduli(moduli: list):
-    """A context in which each modulus charpoly_pair reduces by is appended to moduli."""
+def recording_moduli(moduli: list):
+    """A context in which each modulus charpoly or charpoly_pair reduces by is appended to moduli:
+    both start every attempt with one _hessenberg call."""
     kernel = exactpoly._hessenberg
 
     def recording(h, p):
@@ -451,6 +439,17 @@ def recording_pair_moduli(moduli: list):
         return kernel(h, p)
 
     return mock.patch.object(exactpoly, "_hessenberg", recording)
+
+
+def charpoly_mod(mat, p: int) -> IntPoly:
+    """charpoly's kernel at the modulus p, lifted: M mod p reduced to Hessenberg form, then its recurrence."""
+    h = exactpoly._hessenberg([[x % p for x in row] for row in mat.entries], p)
+    return exactpoly._hessenberg_charpoly(h, p)
+
+
+def hadamard_bits(mat):
+    """bits(B), B = prod_i (2 + isqrt(sum_j a_ij^2)), the bound charpoly's modulus is taken above."""
+    return prod(2 + isqrt(sum(x * x for x in row)) for row in mat.entries).bit_length()
 
 
 class TestCharpolyPair:
@@ -472,7 +471,7 @@ class TestCharpolyPair:
         g = Graph(8, ((0, 7), (1, 4), (1, 5), (1, 6), (2, 5), (2, 6), (4, 7), (5, 6), (5, 7)))
         q, qbar = signless_laplacian(g), signless_laplacian(complement(g))
         assert max(hadamard_bits(q), hadamard_bits(qbar)) <= 22
-        with recording_pair_moduli(moduli := []):
+        with recording_moduli(moduli := []):
             assert charpoly_pair(g) == (bareiss_charpoly(q), bareiss_charpoly(qbar))
         assert moduli == [2**23 - 1, 2**29 - 1]
 
@@ -529,6 +528,10 @@ class TestReducedQPoly:
     def test_wrong_degree_not_divisible(self):
         with pytest.raises(NotDivisible):
             reduced_qpoly(from_roots(1, 1), 2)  # 4 is not a root
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError, match="must be monic"):
+            reduced_qpoly(poly(-8, 2), 2)  # 2x - 8 has the root 4 but is not monic
 
 
 class TestResultant:
@@ -619,6 +622,10 @@ class TestEigProduct:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             eig_product(poly(1, 2), BiPoly.u() - BiPoly.v())
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(ValueError, match="g must be nonzero"):
+            eig_product(from_roots(1, 2), BiPoly())
 
 
 class TestKronecker:
@@ -906,7 +913,7 @@ def test_charpoly_of_permuted_block_triangular_matches_bareiss(mat):
     # at the Mersenne primes 3, 7, 31 and 127 (entries reach 9, above the first two, and go
     # negative) a slot often folds to the redundant value p, which the lift must read as 0
     for p in (3, 7, 31, 127):
-        got = exactpoly._charpoly_mod(mat.entries, p).coeffs
+        got = charpoly_mod(mat, p).coeffs
         assert [c % p for c in got] == [c % p for c in expected.coeffs], p
 
 
@@ -936,7 +943,7 @@ def pair_graphs(draw):
 @given(g=pair_graphs())
 def test_charpoly_pair_matches_references(g):
     q, qbar = signless_laplacian(g), signless_laplacian(complement(g))
-    with recording_pair_moduli(moduli := []):
+    with recording_moduli(moduli := []):
         pair = charpoly_pair(g)
     assert pair == (bareiss_charpoly(q), bareiss_charpoly(qbar))
     # the bounds, taken from the degrees, equal the built matrices' row bounds
@@ -952,7 +959,7 @@ def test_widest_slot_sum_does_not_carry():
     mat = IntMatrix.from_rows(
         [[1 if i == j + 1 or 0 < i < j else 0 for j in range(n)] for i in range(n)]
     )
-    got = exactpoly._charpoly_mod(mat.entries, p).coeffs
+    got = charpoly_mod(mat, p).coeffs
     assert [c % p for c in got] == [c % p for c in berkowitz_charpoly(mat).coeffs]
     assert charpoly(mat) == berkowitz_charpoly(mat)
 

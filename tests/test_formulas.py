@@ -272,6 +272,8 @@ class TestFormulaCharpoly:
             formula_charpoly(desc, 3, 4, 2, f)  # 2m != rn
         with pytest.raises(ValueError):
             formula_charpoly(desc, 4, 4, 2, f)  # degree of f is not n
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            formula_charpoly(desc, 3, 0, 0, IntPoly.x() ** 3)  # edgeless: 2m = rn holds at r = 0
 
     def test_divides_only_by_a_nonconstant_denominator(self, monkeypatch):
         # on C5 (n = m = 5, r = 2) only the cases with a negative exponent have a

@@ -65,6 +65,11 @@ class TestVerifyCase:
         assert res.outcome == "error"
         assert "regular" in res.error
 
+    def test_edgeless_reported_not_raised(self):
+        res = verify_case(Graph(3, ()), case("111"))
+        assert res.outcome == "error"
+        assert res.error == "PreconditionViolated: input graph has no edges"
+
     def test_graph_id_passthrough(self):
         res = verify_case(complete_graph(3), case("000"), graph_id="triangle")
         assert res.graph_id == "triangle"
@@ -96,6 +101,19 @@ class TestRunCorpus:
         rep = run_corpus([("P3", p3)], [case("000")])
         assert rep.failures == (("P3", "000"),)
         assert not rep.all_match
+
+    def test_case_error_captured_and_the_run_goes_on(self, monkeypatch):
+        # a case whose evaluation raises is reported as an error; the cases after it still run
+        def failing_on_111(desc, *args):
+            if str(desc.case) == "111":
+                raise ValueError("boom")
+            return formula_charpoly(desc, *args)
+
+        monkeypatch.setattr(verify, "formula_charpoly", failing_on_111)
+        rep = run_corpus([("K3", complete_graph(3))], [case("000"), case("111"), case("+++")])
+        assert [r.outcome for r in rep.results] == ["match", "error", "match"]
+        assert rep.results[1].error == "ValueError: boom"
+        assert rep.failures == (("K3", "111"),)
 
     def test_default_corpus_membership(self):
         names = [gid for gid, _ in default_corpus()]
@@ -268,6 +286,10 @@ class TestLineGraphRelation:
 
     def test_petersen(self):
         assert check_line_graph_relation(petersen_graph())
+
+    def test_irregular_rejected(self):
+        with pytest.raises(PreconditionViolated, match="needs a regular graph"):
+            check_line_graph_relation(from_edge_list(3, [(0, 1), (1, 2)]))
 
     def test_m_less_than_n_rejected(self):
         matching = from_edge_list(4, [(0, 1), (2, 3)])  # 1-regular, m < n
