@@ -41,9 +41,9 @@ EXIT_USAGE = 2
 EXIT_IRREGULAR = 3
 EXIT_FORMULA = 4
 
-# verify --all takes 32 paired oracle reductions of order n + m: 5.5-6.6 s in all for C50 (n + m =
-# 100) on a 2-core x86-64 host and 36 s for C75 (150), the slowest pair 0.56 s and 3.3 s (unpaired:
-# 20-22 s and 147 s); the cost grows faster than N^3, so a header near 1000 would take days.
+# verify --all takes 32 paired oracle reductions of order n + m: 5.4-5.8 s in all for C50 (n + m =
+# 100) on a loaded 2-core x86-64 host and 35 s for C75 (150), the slowest pair 0.32 s and 2.6 s
+# (unpaired: 20-22 s and 147 s); the cost grows faster than N^3, so a header near 1000 would take days.
 MAX_VERIFY_ORDER = 100
 
 _MATRICES = {"A": adjacency, "L": laplacian, "Q": signless_laplacian}

@@ -357,7 +357,9 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     p - h[i][k]*t in [1, p]), so no slot carries; adding each slot's bits from e up back in at bit
     0 (2^e = 1 mod p) until none are left puts it in [0, p] again.  When column k - 1 is zero from
     row k down, h[k][k-1] = 0 ends every later step's product t at i = k - 1, so no row above k is
-    read in a column from k on, and the reduction skips those entries.
+    read in a column from k on, and the reduction skips those entries.  As every entry stays in [0, p),
+    where x - t*0 = x + t*0 = x, an elimination writes row i only at column k and at row k's nonzero
+    columns, and column k only in column i's nonzero rows: the dense reduction's matrix, entry for entry.
     """
     if not mat.is_square:
         raise NotSquare("charpoly: matrix must be square")
@@ -365,7 +367,7 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     while True:  # e goes from bits(B) to the least prime above it, then to the next prime
         with suppress(ValueError):  # when a pivot shares a factor with 2^e - 1
             p = (1 << (e := _prime_above(e))) - 1
-            return _hessenberg_charpoly(_hessenberg([[x % p for x in row] for row in mat.entries], p), p)
+            return _hessenberg_charpoly(_hessenberg([[x % p for x in row] for row in mat.entries], p), p)[0]
 
 
 def charpoly_pair(g: Graph) -> tuple[IntPoly, IntPoly]:
@@ -396,10 +398,8 @@ def charpoly_pair(g: Graph) -> tuple[IntPoly, IntPoly]:
                 for j in hood:
                     row[j] = (row[j] - 1) % p
             *h, w = _hessenberg([*rows, [n, *[1] * (n - 1)]], p)  # S^-1 Q S, then 1^T S
-            f, h[0] = _hessenberg_charpoly(h, p), [(x - y) % p for x, y in zip(h[0], w)]
-            for i, row in enumerate(h):  # H': row 0 rewritten above, the diagonal here
-                row[i] = (row[i] - n + 2) % p
-            return f, _intpoly([(-1) ** (n - j) * c for j, c in enumerate(_hessenberg_charpoly(h, p).coeffs)])
+            f, fbar = _hessenberg_charpoly(h, p, w)  # H and H'
+            return f, _intpoly([(-1) ** (n - j) * c for j, c in enumerate(fbar.coeffs)])
 
 
 @lru_cache(maxsize=None)  # keyed by bit lengths of bounds: a few dozen in a long run
@@ -409,7 +409,8 @@ def _prime_above(k: int) -> int:
 
 def _hessenberg(h: list, p: int) -> list:
     """h with its leading square block made upper Hessenberg mod p in place, e_0 fixed, rows below it
-    taking the column operations (see charpoly_pair).  Entries nothing reads are left stale."""
+    taking the column operations (see charpoly_pair).  Entries nothing reads are left stale.  A step
+    writes only where the pivot row or the eliminated column is nonzero (see charpoly)."""
     n, s = len(h[0]) if h else 0, 0
     for k in range(1, n - 1):
         if not (nz := [i for i in range(k, n) if h[i][k - 1]]):
@@ -418,31 +419,47 @@ def _hessenberg(h: list, p: int) -> list:
             h[k], h[piv] = h[piv], h[k]
             for row in h[s:]:
                 row[k], row[piv] = row[piv], row[k]
-        inv = pow(h[k][k - 1], -1, p) if nz[1:] else 0  # only with a row to eliminate
+        if not nz[1:]:  # no row to eliminate
+            continue
+        hk, inv = h[k], pow(h[k][k - 1], -1, p)
+        cols = [k, *filter(hk.__getitem__, range(k + 1, n))]  # of row k, only column k changes below
         for i in nz[1:]:  # row_i -= t*row_k from column k (column k - 1 is not read again)
-            t = h[i][k - 1] * inv % p
-            h[i][k:] = [(x - t * y) % p for x, y in zip(h[i][k:], h[k][k:])]
+            t, hi = h[i][k - 1] * inv % p, h[i]
+            for j in cols:
+                hi[j] = (hi[j] - t * hk[j]) % p
             for row in h[s:]:  # col_k += t*col_i
-                row[k] = (row[k] + t * row[i]) % p
+                if x := row[i]:
+                    row[k] = (row[k] + t * x) % p
     return h
 
 
-def _hessenberg_charpoly(h: list, p: int) -> IntPoly:
-    """charpoly of the upper Hessenberg rows h, entries in [0, p], modulo p = 2^e - 1, lifted."""
-    w = 2 * (e := p.bit_length()) + ((n := len(h)) + 1).bit_length()
-    lo, polys = ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) * p, [1]  # p = 2^e - 1 in each slot
-    for k in range(n):  # polys[k] is the leading k x k block's charpoly, packed
-        v = (polys[k] << w) + (p - h[k][k]) * polys[k]
+def _hessenberg_charpoly(h: list, p: int, w: list | None = None) -> tuple:
+    """(charpoly,) of the upper Hessenberg rows h, entries in [0, p], mod p = 2^e - 1, lifted; given w, also
+    that of H' = h - e_0 w^T - (N - 2)I (see charpoly_pair), each h[i][k]*h[i+1][i]...h[k][k-1] taken once."""
+    width = 2 * (e := p.bit_length()) + ((n := len(h)) + 1).bit_length()
+    lo, polys, vpolys = ((1 << width * (n + 1)) - 1) // ((1 << width) - 1) * p, [1], [1]  # p in each slot
+    for k in range(n):  # polys[k] (vpolys[k]) is the leading k x k block's charpoly in h (in H'), packed
+        v = (polys[k] << width) + (p - h[k][k]) * polys[k]
+        u = (vpolys[k] << width) + (p - (h[k][k] - n + 2 - (0 if k else w[0])) % p) * vpolys[k] if w else 0
         t = 1  # h[i+1][i] * ... * h[k][k-1]
         for i in range(k - 1, -1, -1):
             if not (t := t * h[i + 1][i] % p):
                 break
             if c := h[i][k] * t % p:
-                v += (p - c) * polys[i]
+                v += (c := p - c) * polys[i]
+                if w and i:
+                    u += c * vpolys[i]
         while top := (v - (r := v & lo)) >> e:  # each slot's bits from e up, moved to bit 0
             v = r + top
         polys.append(v)
-    return _intpoly([c - p if c > p // 2 else c for c in (polys[n] >> w * j & p for j in range(n + 1))])
+        if w:
+            if k and (c := (h[0][k] - w[k]) * t % p):  # t is the product down to row 0, or 0
+                u += p - c
+            while top := (u - (r := u & lo)) >> e:
+                u = r + top
+            vpolys.append(u)
+    return tuple(_intpoly([c - p if c > p // 2 else c for c in (q[n] >> width * j & p for j in range(n + 1))])
+                 for q in ((polys, vpolys) if w else (polys,)))
 
 
 # No caller in src: benchmarks/tracing.py wraps it, and CI's traced smoke needs every wrapped name bound.

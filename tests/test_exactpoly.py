@@ -444,7 +444,7 @@ def recording_moduli(moduli: list):
 def charpoly_mod(mat, p: int) -> IntPoly:
     """charpoly's kernel at the modulus p, lifted: M mod p reduced to Hessenberg form, then its recurrence."""
     h = exactpoly._hessenberg([[x % p for x in row] for row in mat.entries], p)
-    return exactpoly._hessenberg_charpoly(h, p)
+    return exactpoly._hessenberg_charpoly(h, p)[0]
 
 
 def hadamard_bits(mat):
@@ -917,6 +917,61 @@ def test_charpoly_of_permuted_block_triangular_matches_bareiss(mat):
         assert [c % p for c in got] == [c % p for c in expected.coeffs], p
 
 
+def dense_hessenberg(h: list, p: int) -> list:
+    """_hessenberg as it was before it skipped zero entries, the reference it must equal entry for entry:
+    each elimination rewrites row i from column k on and column k in every row from the deflation index."""
+    n, s = len(h[0]) if h else 0, 0
+    for k in range(1, n - 1):
+        if not (nz := [i for i in range(k, n) if h[i][k - 1]]):
+            s = k
+        elif (piv := nz[0]) != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h[s:]:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1], -1, p) if nz[1:] else 0
+        for i in nz[1:]:
+            t = h[i][k - 1] * inv % p
+            h[i][k:] = [(x - t * y) % p for x, y in zip(h[i][k:], h[k][k:])]
+            for row in h[s:]:
+                row[k] = (row[k] + t * row[i]) % p
+    return h
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Square integer matrices of size 1-14 with 10-40% of their entries nonzero in -9..9, some rows
+    and columns zeroed: zeros on the subdiagonal swap in pivots, and columns zero from the
+    subdiagonal down deflate."""
+    n, density = draw(st.integers(1, 14)), draw(st.integers(10, 40))
+    # two bytes an entry: the first makes it nonzero density percent of the time (byte 0 never, so
+    # examples shrink to 0), the second picks its value
+    data = draw(st.binary(min_size=2 * n * n, max_size=2 * n * n))
+    flat = [(b % 9 + 1) * (-1) ** (b >> 7) if a % 100 >= 100 - density else 0
+            for a, b in zip(data[::2], data[1::2])]
+    zeroed = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    return IntMatrix.from_rows([[0 if i in zeroed or j in zeroed else flat[i * n + j] for j in range(n)]
+                                for i in range(n)])
+
+
+@seed(20240901)
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_matrices(), st.booleans())
+def test_sparse_reduction_matches_the_dense_one(mat, below):
+    # charpoly against Berkowitz, and the reduced rows (a row of ones below, as charpoly_pair's w, if
+    # drawn) equal to the dense reference's at charpoly's modulus, at the primes 7 and 127 and at
+    # 2^11 - 1 = 23 * 89, where a pivot may not be a unit and both must raise
+    assert charpoly(mat) == berkowitz_charpoly(mat)
+    for p in (7, 127, 2**11 - 1, 2 ** exactpoly._prime_above(hadamard_bits(mat)) - 1):
+        rows = [[x % p for x in row] for row in mat.entries] + [[1] * mat.rows] * below
+        try:
+            want = dense_hessenberg([list(r) for r in rows], p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                exactpoly._hessenberg([list(r) for r in rows], p)
+        else:
+            assert exactpoly._hessenberg([list(r) for r in rows], p) == want, p
+
+
 @st.composite
 def pair_graphs(draw):
     """Graphs on 1-12 vertices for charpoly_pair: random edge sets, edgeless and complete graphs,
@@ -935,11 +990,21 @@ def pair_graphs(draw):
     return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
 
 
+def with_transform_pairs(test):
+    """test with one transform of each complementary pair of K4 and of 2C3 as explicit examples: 2C3 is
+    disconnected, so its z = 0 transforms are block diagonal and the reduction deflates."""
+    for g in complete_graph(4), Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))):
+        for case in [c for c in list_cases() if c.x in "0+"]:
+            test = example(g=xyz_transform(g, case))(test)
+    return test
+
+
 @seed(20131020)
 @settings(max_examples=200, deadline=None)
 @example(g=Graph(1, ()))
 @example(g=Graph(2, ()))
 @example(g=Graph(2, ((0, 1),)))
+@with_transform_pairs
 @given(g=pair_graphs())
 def test_charpoly_pair_matches_references(g):
     q, qbar = signless_laplacian(g), signless_laplacian(complement(g))

@@ -5,8 +5,8 @@ applies every double-edge switch ab, cd -> ac, bd, which keeps each degree.  The
 all labelled r-regular graphs on one vertex set (R. Taylor, "Constrained switchings in graphs",
 1981), so the search reaches every isomorphism class.  Classes are keyed by a canonical form:
 colour refinement with individualisation (B. McKay, "Practical graph isomorphism", 1981).  A degree
-above (n - 1)/2 takes the complements of degree n - 1 - r, as a canonical labelling of a graph is
-one of its complement.
+above (n - 1)/2 takes the complements of degree n - 1 - r, one per class, each put in canonical form
+again: the complement of a canonical form is a form of the complement, not always the least.
 """
 
 import hashlib
@@ -88,8 +88,10 @@ def regular_graphs(max_order: int = MAX_ORDER) -> dict:
                 continue
             if 2 * r <= n - 1:
                 out[n, r] = sorted(regular_forms(n, r))
-            else:  # degree n - 1 - r < r is already in
-                out[n, r] = sorted(tuple(sorted(pairs - set(f))) for f in out[n, n - 1 - r])
+            elif r == n - 1:  # K_n: one edge set, and a search tree of n! leaves
+                out[n, r] = [tuple(combinations(range(n), 2))]
+            else:  # the complements of degree n - 1 - r < r, already in, each relabelled canonically
+                out[n, r] = sorted(canonical_form(n, pairs - set(f)) for f in out[n, n - 1 - r])
     return out
 
 
@@ -108,8 +110,16 @@ def test_counts_per_order_match_oeis_a005176():
 def test_canonical_forms_digest():
     text = repr(sorted((n, r, form) for (n, r), forms in regular_graphs().items() for form in forms))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5e7270a22ffe62268dc604bbc785bd0bd4678556e247e035f0b17077f994df64"
+        "d99d6da0aa48377745dae9f39bcf69b077e89cbd79d745a0d8e43a1d3910ad9b"
     )
+
+
+def test_every_stored_form_is_canonical():
+    for (n, r), forms in regular_graphs().items():
+        if r in (0, n - 1):  # one edge set each, and a search tree of n! leaves
+            assert forms == [tuple(combinations(range(n), 2)) if r else ()]
+        else:
+            assert all(canonical_form(n, form) == form for form in forms), (n, r)
 
 
 def test_canonical_form_ignores_labels():
