@@ -18,6 +18,7 @@ from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, li
 __all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
 
 SYMBOLS = ("0", "1", "+", "-")
+_SWAP = str.maketrans("01+-", "10-+")  # a case's text to its complement's
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class XyzCase:
 
     def complement(self) -> XyzCase:
         """0 and 1, + and - swapped: each part of its transform, and the cross pairs, complemented."""
-        return XyzCase(*("10-+"["01+-".index(s)] for s in str(self)))
+        return XyzCase(*str(self).translate(_SWAP))
 
 
 def part_graph(g: Graph, s: str) -> Graph:
@@ -65,34 +66,29 @@ def cross_edges(g: Graph, z: str) -> list[tuple[int, int]]:
     return sorted({(v, j) for v in range(g.n) for j in range(g.m)}.difference(base)) if z in "1-" else base
 
 
-@lru_cache(maxsize=1)
-def _parts(g: Graph) -> dict:
-    """The last graph's parts by key ("L", "x+", "y-", ...), so its 64 cases build each once."""
-    return {}
+@lru_cache(maxsize=13)  # one graph's parts: 4 symbols at each of 3 positions, and its line graph
+def _part(g: Graph, key: str) -> tuple | Graph:
+    """One part of g's transforms, built once: "x" + x, "y" + y or "z" + z gives its edges, numbered as
+    xyz_transform's, and "L" the line graph, which the edge parts of + and - take."""
+    n, p, s = g.n, key[0], key[1:]
+    if p == "x":
+        return part_graph(g, s).edges
+    if p == "z":
+        return tuple((v, n + j) for v, j in cross_edges(g, s))
+    if p == "L":
+        return line_graph(g)
+    line = _part(g, "L") if s in "+-" else Graph(g.m, ())
+    return tuple((n + a, n + b) for a, b in part_graph(line, s).edges)
 
 
 def xyz_transform(g: Graph, case: XyzCase) -> Graph:
-    """Build the transformed graph on n + m vertices.
-
-    Vertices 0..n-1 are the original vertices in order; vertices n..n+m-1
-    are the edges of g in canonical edge order.  The edge list concatenates
-    the vertex-part edges, the edge-part edges (shifted by n), and the cross
-    pairs, each built once per graph, and joined unchecked: they make a simple
-    graph by construction.  Requires m >= 1: with no edges every case degenerates.
-    """
+    """Build the transformed graph on n + m vertices: 0..n-1 are g's vertices in order, n..n+m-1 its
+    edges in edge order.  The edges are the vertex part's, the edge part's and the cross pairs, each
+    built once per graph (_part) and joined unchecked: they make a simple graph by construction.
+    Requires m >= 1: with no edges every case degenerates."""
     if g.m == 0:
         raise EmptyEdgeSet("transformation of an edgeless graph")
-    n, memo = g.n, _parts(g)
-
-    def part(key, build):
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-    edges = part("x" + case.x, lambda: part_graph(g, case.x).edges)
-    line = part("L", lambda: line_graph(g)) if case.y in "+-" else Graph(g.m, ())
-    edges += part("y" + case.y, lambda: tuple((n + a, n + b) for a, b in part_graph(line, case.y).edges))
-    edges += part("z" + case.z, lambda: tuple((v, n + j) for v, j in cross_edges(g, case.z)))
-    return _graph(n + g.m, edges)
+    return _graph(g.n + g.m, _part(g, "x" + case.x) + _part(g, "y" + case.y) + _part(g, "z" + case.z))
 
 
 def transform_size(g: Graph, case: XyzCase) -> tuple[int, int]:

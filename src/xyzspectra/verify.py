@@ -2,10 +2,10 @@
 
 For every (graph, case) pair the harness compares the case's closed-form
 polynomial, coefficient by coefficient, with the exact charpoly of the
-constructed transform, taken once per distinct transform of the graph (for
-K_n, -yz and 0yz coincide), a case's and its complement's (0 and 1, + and -
-swapped) from one reduction.  There is no tolerance anywhere; a mismatch
-ships the difference polynomial.
+constructed transform.  A plan made once per graph keys each case by its
+transform's parts, so each distinct transform (for K_n, -yz and 0yz coincide)
+is built and reduced once, with its complement's (0 and 1, + and - swapped).
+There is no tolerance anywhere; a mismatch ships the difference polynomial.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graph import (
     regularity,
 )
 from .linalg import IntMatrix, signless_laplacian
-from .transform import XyzCase, xyz_transform
+from .transform import _SWAP, XyzCase, _part, xyz_transform
 
 __all__ = [
     "PreconditionViolated",
@@ -99,14 +99,22 @@ class CorpusReport:
         return not self.failures
 
 
+def _case_keys(g: Graph, cases) -> dict:
+    """The text of each case and of its complement -> its key: each symbol mapped to the first symbol
+    used at its position with the same part.  Parts lie on disjoint vertex ranges, so two transforms
+    are equal graphs exactly when their keys are equal."""
+    both, first = {*map(str, cases), *(str(case).translate(_SWAP) for case in cases)}, {}
+    canon = [{s: first.setdefault((p, _part(g, p + s)), s) for s in sorted({t[i] for t in both})}
+             for i, p in enumerate("xyz")]  # first: (position, part edges) -> the first symbol with them
+    return {t: canon[0][t[0]] + canon[1][t[1]] + canon[2][t[2]] for t in both}
+
+
 def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
     """Compare the closed form against direct construction for each case.
 
-    The degree r, the base graph's signless-Laplacian polynomial and the
-    oracle of each distinct transform (equal edges, equal Q) are computed
-    once per call, each with its complement's (Q(complement) = (N - 2)I + J
-    - Q) from one charpoly_pair.  All failures (irregular or edgeless input,
-    evaluation errors) are captured in the results rather than raised.
+    The degree r, the base graph's polynomial and the cases' keys are made once per call.  A new
+    key's transform is built and reduced with its complement's by one charpoly_pair.  All failures
+    (irregular or edgeless input, evaluation errors) are captured in the results rather than raised.
     """
     try:
         r = regularity(g)
@@ -115,15 +123,16 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         if g.m < 1:
             raise PreconditionViolated("input graph has no edges")
         f = charpoly(signless_laplacian(g))
+        keys = _case_keys(g, cases)
     except Exception as exc:  # reported, never propagated
         return [_error(gid, case, exc) for case in cases]
-    results, oracles = [], {}  # transformed graph -> (its oracle, its complement's), for this call only
+    results, oracles = [], {}  # case key -> (its oracle, its complement's), for this call only
     for case in cases:
         try:
-            if (pair := oracles.get(t := xyz_transform(g, case))) is None:
-                tbar = xyz_transform(g, case.complement())  # kept already if t's graph is, in another order
-                pair = oracles[tbar][::-1] if tbar in oracles else charpoly_pair(t)
-                oracles[t], oracles[tbar] = pair, pair[::-1]
+            if (pair := oracles.get(key := keys[text := str(case)])) is None:
+                kbar = keys[text.translate(_SWAP)]
+                pair = oracles[kbar][::-1] if kbar in oracles else charpoly_pair(xyz_transform(g, case))
+                oracles[key], oracles[kbar] = pair, pair[::-1]
             oracle = pair[0]
             formula = formula_charpoly(descriptor_for(case), g.n, g.m, r, f)
         except Exception as exc:  # reported, never propagated

@@ -560,12 +560,20 @@ def gen_arguments(draw):
 @settings(max_examples=200, deadline=None)
 @example(argv=["circulant", "1000", *map(str, range(1, 400))])  # a 1.5 kB parameter list
 @example(argv=["cycle", "x" * 5000])  # int()'s own message would quote 200 characters of it
+@example(argv=["complete", "44"])  # n + m = 990, the largest complete graph under the limit: 0.33 MB
 @given(argv=gen_arguments())
 def test_generated_gen_parameters_exit_cleanly(generated_file, argv):
-    # an exit code in 0-4, one short stderr line when it is not 0, and never a traceback
+    # an exit code in 0-4, one short stderr line when it is not 0, never a traceback, and a bounded
+    # peak of allocated memory: a graph is built only with n + m <= 1000, and a huge parameter never
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["gen", *argv, "--out", str(generated_file)])
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["gen", *argv, "--out", str(generated_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue()) < 200, err.getvalue()[:400]

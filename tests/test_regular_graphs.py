@@ -33,32 +33,48 @@ def refine(adj: list, colours: list) -> list:
 
 def canonical_form(n: int, edges) -> tuple:
     """The least sorted edge tuple over the leaves of the individualisation-refinement tree: at each
-    node the first cell of two or more vertices is split, one vertex of it at a time."""
+    node the first cell of two or more vertices is split, one vertex of it at a time.  Two leaves with
+    equal forms give an automorphism of the graph.  A child is skipped when the automorphisms found so
+    far that fix its node's individualised vertices map an explored child's vertex to its own: its
+    subtree is that child's image, with the same forms (McKay's pruning by automorphisms)."""
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    best = None
+    best, leaves, automorphisms = None, {}, []  # leaves: form -> the colouring of the first leaf with it
 
-    def search(colours):
+    def search(colours, path):
         nonlocal best
         colours = refine(adj, colours)
         cells = [c for c in range(n) if colours.count(c) > 1]
         if not cells:
             form = tuple(sorted(tuple(sorted((colours[u], colours[v]))) for u, v in edges))
+            if form in leaves:  # u -> the vertex of the same colour at the earlier leaf
+                vertex = {c: w for w, c in enumerate(leaves[form])}
+                automorphisms.append([vertex[c] for c in colours])
+            else:
+                leaves[form] = colours
             best = form if best is None else min(best, form)
             return
+        orbit = set()  # of the explored children's vertices, under the automorphisms that fix path
         for v in [v for v in range(n) if colours[v] == cells[0]]:  # v before the rest of its cell
-            search([2 * c + (c == cells[0] and u != v) for u, c in enumerate(colours)])
+            fixing = [a for a in automorphisms if all(a[u] == u for u in path)]
+            stack = list(orbit)
+            while stack:
+                x = stack.pop()
+                for w in {a[x] for a in fixing} - orbit:
+                    orbit.add(w)
+                    stack.append(w)
+            if v not in orbit:
+                orbit.add(v)
+                search([2 * c + (c == cells[0] and u != v) for u, c in enumerate(colours)], path + [v])
 
-    search([0] * n)
+    search([0] * n, [])
     return best
 
 
 def regular_forms(n: int, r: int) -> set:
     """The canonical forms of the r-regular graphs on n vertices, r <= (n - 1)/2 and rn even."""
-    if r == 0:  # no switch, and a search tree of n! leaves
-        return {()}
     offsets = [*range(1, r // 2 + 1), *([n // 2] if r % 2 else [])]
     start = canonical_form(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in offsets})
     seen, queue = {start}, [start]
@@ -88,8 +104,6 @@ def regular_graphs(max_order: int = MAX_ORDER) -> dict:
                 continue
             if 2 * r <= n - 1:
                 out[n, r] = sorted(regular_forms(n, r))
-            elif r == n - 1:  # K_n: one edge set, and a search tree of n! leaves
-                out[n, r] = [tuple(combinations(range(n), 2))]
             else:  # the complements of degree n - 1 - r < r, already in, each relabelled canonically
                 out[n, r] = sorted(canonical_form(n, pairs - set(f)) for f in out[n, n - 1 - r])
     return out
@@ -116,10 +130,7 @@ def test_canonical_forms_digest():
 
 def test_every_stored_form_is_canonical():
     for (n, r), forms in regular_graphs().items():
-        if r in (0, n - 1):  # one edge set each, and a search tree of n! leaves
-            assert forms == [tuple(combinations(range(n), 2)) if r else ()]
-        else:
-            assert all(canonical_form(n, form) == form for form in forms), (n, r)
+        assert all(canonical_form(n, form) == form for form in forms), (n, r)
 
 
 def test_canonical_form_ignores_labels():

@@ -177,7 +177,7 @@ class TestTransform:
             return line_graph(g)
 
         monkeypatch.setattr(transform, "line_graph", counting)
-        transform._parts.cache_clear()
+        transform._part.cache_clear()
         k4, c5 = complete_graph(4), cycle_graph(5)
         assert run_corpus([("K4", k4), ("C5", c5)]).all_match
         assert calls == [k4, c5]
@@ -221,7 +221,7 @@ def seeded_regular_graphs(count=30, seed=20131019):
 
 def fresh_transform(g, c):
     """xyz_transform with no part kept from an earlier call."""
-    transform._parts.cache_clear()
+    transform._part.cache_clear()
     return xyz_transform(g, c)
 
 
@@ -231,7 +231,7 @@ class TestPartsCache:
         g = CACHE_GRAPHS[name]
         cases = list_cases()
         fresh = [fresh_transform(g, c) for c in cases]
-        transform._parts.cache_clear()
+        transform._part.cache_clear()
         assert [xyz_transform(g, c) for c in cases] == fresh
         assert [xyz_transform(g, c) for c in reversed(cases)] == fresh[::-1]
 

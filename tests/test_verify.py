@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from xyzspectra.exactpoly import BiPoly, IntPoly, charpoly, charpoly_pair, compose_linear
-from xyzspectra import formulas, verify
+from xyzspectra import formulas, transform, verify
 from xyzspectra.formulas import descriptor_for, formula_charpoly, list_cases
 from xyzspectra.graph import (
     Graph,
@@ -20,6 +22,7 @@ from xyzspectra.graph import (
     complete_graph,
     cycle_graph,
     from_edge_list,
+    line_graph,
     petersen_graph,
     regularity,
 )
@@ -39,6 +42,7 @@ from xyzspectra.verify import (
 )
 
 from helpers import case, from_roots
+from test_transform import seeded_regular_graphs
 
 
 class TestVerifyCase:
@@ -184,12 +188,14 @@ class TestRunCorpus:
     def test_shared_oracles_change_no_result(self):
         # verify_case takes every case on its own, with nothing shared between cases: its oracle
         # is always the first polynomial of a pair, while run_corpus takes half of its oracles
-        # from the second, the complement's
-        for gid, g in default_corpus():
+        # from the second, the complement's; also on the plan's graphs with n + m <= 36
+        graphs = [*default_corpus(), *((f"plan{i}", g) for i, g in enumerate(plan_graphs()) if g.n + g.m <= 36)]
+        for gid, g in graphs:
             shared = run_corpus([(gid, g)]).results
             alone = [verify_case(g, c, gid) for c in list_cases()]
             assert [(r.case, r.outcome, r.formula_poly, r.oracle_poly, r.diff) for r in shared] == [
                 (r.case, r.outcome, r.formula_poly, r.oracle_poly, r.diff) for r in alone], gid
+            assert all(r.outcome == "match" for r in shared), gid
 
     def test_regimes_outside_default_corpus(self):
         # r = 1 with m < n (K2, 3K2), disconnected graphs (2C3, C3+C4,
@@ -209,6 +215,47 @@ class TestRunCorpus:
         rep = run_corpus(graphs)
         assert len(rep.results) == 512
         assert rep.failures == ()
+
+
+def plan_graphs() -> list:
+    """Graphs whose transform parts coincide in different ways: seeded circulants (relabelled, edges
+    shuffled and flipped, every third disconnected); C3, whose + and 1 vertex parts are one edge set
+    in two orders; K2, whose edge parts are all empty; and K4 and K5 with their edges shuffled, whose
+    - and 0 vertex parts are both empty."""
+    rng = random.Random(20131020)
+    shuffled = [Graph(k, tuple(rng.sample(complete_graph(k).edges, k * (k - 1) // 2))) for k in (4, 5)]
+    return [*seeded_regular_graphs(), cycle_graph(3), Graph(2, ((0, 1),)), *shuffled]
+
+
+class TestCasePlan:
+    @pytest.mark.parametrize("g", plan_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+    def test_equal_keys_exactly_for_equal_transforms(self, g):
+        cases = list_cases()
+        transforms = {str(c): xyz_transform(g, c) for c in cases}
+        plans = [verify._case_keys(g, cases)]
+        if g.n + g.m <= 15:  # and each two-case list's own plan, which sees fewer symbols
+            plans += [verify._case_keys(g, [a, b]) for a, b in combinations(cases, 2)]
+        for keys in plans:
+            for a, b in combinations(keys, 2):  # the cases' texts and their complements'
+                assert (keys[a] == keys[b]) == (transforms[a] == transforms[b]), (a, b)
+
+    def test_one_transform_built_per_reduction(self, monkeypatch):
+        built, reduced = [], []
+        monkeypatch.setattr(verify, "xyz_transform", lambda g, c: built.append(xyz_transform(g, c)) or built[-1])
+        monkeypatch.setattr(verify, "charpoly_pair", lambda t: reduced.append(t) or charpoly_pair(t))
+        assert run_corpus(default_corpus()).all_match
+        assert len(built) == 416  # 1024 cases, 840 distinct transforms
+        assert reduced == built
+
+    def test_one_case_builds_the_line_graph_only_when_y_uses_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transform, "line_graph", lambda g: calls.append(g) or line_graph(g))
+        g = cycle_graph(5)
+        for c in list_cases():
+            transform._part.cache_clear()  # nothing kept from the case before
+            calls.clear()
+            assert verify_case(g, c).outcome == "match"
+            assert len(calls) == (c.y in "+-"), str(c)
 
 
 class TestCorpusReport:
