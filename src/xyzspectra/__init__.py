@@ -53,8 +53,6 @@ from .linalg import (
     IntMatrix,
     NotSquare,
     adjacency,
-    degree_matrix,
-    incidence,
     laplacian,
     signless_laplacian,
 )

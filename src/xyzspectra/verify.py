@@ -261,24 +261,30 @@ def check_line_graph_relation(g: Graph) -> bool:
     return lhs == rhs
 
 
-def _matrix_poly(p: BiPoly, first: IntMatrix, second: IntMatrix) -> IntMatrix:
-    """Substitute matrices into a bivariate polynomial.
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """Schoolbook product of two square matrices given as row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _matrix_poly(p: BiPoly, first: tuple, second: tuple) -> tuple:
+    """Substitute square matrices, as row tuples, into a bivariate polynomial.
 
     Monomial u^s v^t maps to first^s * second^t (first-powers on the left;
     the two arguments commute in every use here, but the order is pinned
-    for determinism).  Horner's rule in both variables.
+    for determinism).  Horner's rule in both variables; a constant c adds
+    c on the diagonal.
     """
-    k = first.rows
-
-    def scalar(c: int) -> IntMatrix:
-        return IntMatrix.from_rows([[c if i == j else 0 for j in range(k)] for i in range(k)])
-
-    out = scalar(0)
+    k = len(first)
+    out = ((0,) * k,) * k
     for row in reversed(p.grid):
-        inner = scalar(0)
+        inner = ((0,) * k,) * k
         for c in reversed(row):
-            inner = second * inner + scalar(c)
-        out = first * out + inner
+            inner = tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(r))
+                for i, r in enumerate(_matmul(second, inner))
+            )
+        out = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(_matmul(first, out), inner))
     return out
 
 
@@ -296,8 +302,7 @@ def check_eigen_lemma(g: Graph, p: BiPoly) -> bool:
         raise PreconditionViolated("eigenvalue lemma needs a regular graph")
     n = g.n
     qmat = signless_laplacian(g)
-    jmat = IntMatrix.all_ones(n, n)
-    lhs = charpoly(_matrix_poly(p, qmat, jmat))
+    lhs = charpoly(IntMatrix.from_rows(_matrix_poly(p, qmat.entries, ((1,) * n,) * n)))
 
     f = charpoly(qmat)
     reduced = reduced_qpoly(f, r)

@@ -370,6 +370,20 @@ class TestEigenLemma:
         with pytest.raises(PreconditionViolated):
             check_eigen_lemma(from_edge_list(3, [(0, 1), (1, 2)]), self.x())
 
+    def test_matrix_poly_pinned_without_the_lemma(self):
+        # P(Q, J) against values computed here: the Horner order and the
+        # constant's diagonal are checked without going through check_eigen_lemma
+        for g in (complete_graph(4), cycle_graph(5)):
+            n, r = g.n, regularity(g)
+            q = signless_laplacian(g).entries
+            ones = ((1,) * n,) * n
+            q2 = tuple(tuple(sum(q[i][k] * q[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+            assert verify._matrix_poly(self.x() * self.y(), q, ones) == ((2 * r,) * n,) * n
+            assert verify._matrix_poly(self.y() * self.y(), q, ones) == ((n,) * n,) * n
+            assert verify._matrix_poly(self.x() * self.x() - 3, q, ones) == tuple(
+                tuple(x - 3 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(q2)
+            )
+
 
 @st.composite
 def regular_graphs(draw):
@@ -396,6 +410,19 @@ def regular_graphs(draw):
                   + tuple((i * b.n + u, i * b.n + v) for i in range(a.n) for u, v in b.edges))
     assume(g.n + g.m <= 30)
     return g
+
+
+def test_closed_forms_of_regular_transforms_match():
+    # +++, --- and 111 give a regular transform for every regular base, so each
+    # transform is a base in turn: formula_charpoly then reads an f that is itself
+    # a closed form, with roots of multiplicity up to 11 (K12, C6's 111)
+    graphs = [(f"{name} {c}", xyz_transform(g, case(c)))
+              for name, g in (("C5", cycle_graph(5)), ("K4", complete_graph(4)), ("C6", cycle_graph(6)))
+              for c in ("+++", "---", "111")]
+    assert sorted(t.n + t.m for _, t in graphs) == [25, 30, 35, 36, 40, 54, 55, 55, 78]
+    rep = run_corpus(graphs)
+    assert len(rep.results) == 9 * 64
+    assert rep.failures == ()
 
 
 @seed(20130102)
