@@ -473,6 +473,23 @@ class TestCharpolyPair:
             assert charpoly_pair(g) == (bareiss_charpoly(q), bareiss_charpoly(qbar))
         assert moduli == [2**23 - 1, 2**29 - 1]
 
+    # C12 + C13 is disconnected: its z = 0 transforms split into more diagonal blocks than C25's,
+    # so the deflated reduction (a column zero from the subdiagonal down) runs at N = 50
+    @pytest.mark.slow
+    @pytest.mark.parametrize("g", [
+        cycle_graph(25),
+        Graph(25, cycle_graph(12).edges + tuple((u + 12, v + 12) for u, v in cycle_graph(13).edges)),
+    ], ids=["C25", "C12+C13"])
+    def test_equals_two_charpoly_calls_on_32_transform_pairs_at_n_50(self, g):
+        for c in [c for c in list_cases() if c.x in "0+"]:  # one case of each pair
+            t = xyz_transform(g, c)
+            q = signless_laplacian(t)
+            qbar = signless_laplacian(xyz_transform(g, c.complement()))
+            n = q.rows
+            assert all(qbar.entries[i][j] == (i == j) * (n - 2) + 1 - x
+                       for i, row in enumerate(q.entries) for j, x in enumerate(row)), str(c)
+            assert charpoly_pair(t) == (charpoly(q), charpoly(qbar)), str(c)
+
 
 class TestDet:
     def test_small_cases(self):

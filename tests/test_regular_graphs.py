@@ -1,4 +1,5 @@
-"""Every r-regular graph on at most 8 vertices, each through all 64 cases of the oracle harness.
+"""Every r-regular graph on at most 8 vertices (10 under `pytest -m slow`), each through all 64 cases
+of the oracle harness.
 
 The graphs are generated, not listed.  A breadth-first search starts from one circulant and
 applies every double-edge switch ab, cd -> ac, bd, which keeps each degree.  The switches connect
@@ -13,10 +14,15 @@ import hashlib
 from functools import cache
 from itertools import combinations
 
-from xyzspectra.graph import Graph, hypercube_graph
-from xyzspectra.verify import run_corpus
+import pytest
 
-MAX_ORDER = 8
+from xyzspectra import verify
+from xyzspectra.exactpoly import charpoly_pair
+from xyzspectra.formulas import list_cases
+from xyzspectra.graph import Graph, hypercube_graph
+from xyzspectra.transform import xyz_transform
+
+by_order = pytest.mark.parametrize("order", [8, pytest.param(10, marks=pytest.mark.slow)])
 
 
 def refine(adj: list, colours: list) -> list:
@@ -93,9 +99,9 @@ def regular_forms(n: int, r: int) -> set:
 
 
 @cache
-def regular_graphs(max_order: int = MAX_ORDER) -> dict:
+def regular_graphs(max_order: int) -> dict:
     """(n, r) -> the sorted canonical forms of the r-regular graphs on n <= max_order vertices.
-    CI runs max_order = 10: counts 26 and 176 on 9 and 10 vertices, 240 graphs with r >= 1."""
+    The tests below take max_order from their order parameter: 8, and 10 under `-m slow`."""
     out = {}
     for n in range(1, max_order + 1):
         pairs = set(combinations(range(n), 2))
@@ -109,27 +115,31 @@ def regular_graphs(max_order: int = MAX_ORDER) -> dict:
     return out
 
 
-def test_counts_per_order_match_oeis_a005176():
+@by_order
+def test_counts_per_order_match_oeis_a005176(order):
     # regular graphs on n vertices, any degree, the edgeless graph included
-    graphs = regular_graphs()
-    per_order = [sum(len(forms) for (n, _), forms in graphs.items() if n == k) for k in range(1, 9)]
-    assert per_order == [1, 2, 2, 4, 3, 8, 6, 22]
-    per_degree = {n: [len(graphs.get((n, r), ())) for r in range(n)] for n in range(1, 9)}
-    assert per_degree == {
-        1: [1], 2: [1, 1], 3: [1, 0, 1], 4: [1, 1, 1, 1], 5: [1, 0, 1, 0, 1],
-        6: [1, 1, 2, 2, 1, 1], 7: [1, 0, 2, 0, 2, 0, 1], 8: [1, 1, 3, 6, 6, 3, 1, 1],
-    }
+    graphs = regular_graphs(order)
+    per_order = [sum(len(forms) for (n, _), forms in graphs.items() if n == k) for k in range(1, order + 1)]
+    assert per_order == [1, 2, 2, 4, 3, 8, 6, 22, 26, 176][:order]
+    per_degree = [[len(graphs.get((n, r), ())) for r in range(n)] for n in range(1, order + 1)]
+    assert per_degree == [
+        [1], [1, 1], [1, 0, 1], [1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 2, 2, 1, 1], [1, 0, 2, 0, 2, 0, 1],
+        [1, 1, 3, 6, 6, 3, 1, 1], [1, 0, 4, 0, 16, 0, 4, 0, 1], [1, 1, 5, 21, 60, 60, 21, 5, 1, 1],
+    ][:order]
 
 
-def test_canonical_forms_digest():
-    text = repr(sorted((n, r, form) for (n, r), forms in regular_graphs().items() for form in forms))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d99d6da0aa48377745dae9f39bcf69b077e89cbd79d745a0d8e43a1d3910ad9b"
-    )
+@by_order
+def test_canonical_forms_digest(order):
+    text = repr(sorted((n, r, form) for (n, r), forms in regular_graphs(order).items() for form in forms))
+    assert hashlib.sha256(text.encode()).hexdigest() == {
+        8: "d99d6da0aa48377745dae9f39bcf69b077e89cbd79d745a0d8e43a1d3910ad9b",
+        10: "ec83e2dc15091e7f1614d33e4aa995e9e9527a462ca2552dcfb84b18dead927d",
+    }[order]
 
 
-def test_every_stored_form_is_canonical():
-    for (n, r), forms in regular_graphs().items():
+@by_order
+def test_every_stored_form_is_canonical(order):
+    for (n, r), forms in regular_graphs(order).items():
         assert all(canonical_form(n, form) == form for form in forms), (n, r)
 
 
@@ -145,10 +155,20 @@ def test_canonical_form_ignores_labels():
     assert canonical_form(8, twisted) != canonical_form(8, cube)
 
 
-def test_every_regular_graph_matches_on_all_64_cases():
-    graphs = [(f"n{n}r{r}#{i}", Graph(n, form)) for (n, r), forms in regular_graphs().items() if r >= 1
+@by_order
+def test_every_regular_graph_matches_on_all_64_cases(order, monkeypatch):
+    graphs = [(f"n{n}r{r}#{i}", Graph(n, form)) for (n, r), forms in regular_graphs(order).items() if r >= 1
               for i, form in enumerate(forms)]
-    assert len(graphs) == 40  # K2 included
-    report = run_corpus(graphs)
-    assert report.failures == ()
-    assert len(report.results) == 40 * 64
+    assert len(graphs) == {8: 40, 10: 240}[order]  # K2 included
+    reductions = []
+    monkeypatch.setattr(verify, "charpoly_pair", lambda t: reductions.append(t) or charpoly_pair(t))
+    failures, results = (), 0
+    for gid, g in graphs:
+        reductions.clear()
+        report = verify.run_corpus([(gid, g)])
+        failures += report.failures
+        results += len(report.results)
+        # each reduction serves a transform and its complement: two edge sets, none served twice
+        edge_sets = {frozenset(map(frozenset, xyz_transform(g, c).edges)) for c in list_cases()}
+        assert 2 * len(reductions) == len(edge_sets), (gid, len(reductions), len(edge_sets))
+    assert failures == () and results == len(graphs) * 64, failures[:5]
