@@ -56,7 +56,7 @@ from .linalg import (
     laplacian,
     signless_laplacian,
 )
-from .transform import SYMBOLS, XyzCase, cross_edges, part_graph, xyz_transform
+from .transform import SYMBOLS, XyzCase, xyz_transform
 from .verify import (
     CorpusReport,
     PreconditionViolated,

@@ -4,14 +4,15 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 irregular input graph, 4 formula evaluation error.  A command refuses by raising;
 main maps OSError and GraphError to 2 (an input file that cannot be read, decoded
 as UTF-8 or parsed, an output file that cannot be written, an edgeless graph given
-to transform, formula or verify) and PreconditionViolated to 3, each with one
-"<cmd>: ..." stderr line.  formula maps its own descriptor errors to 4; charpoly
-accepts an edgeless graph.  gen and transform exit 2, before building anything,
-when the graph they would write has n + m above graph.MAX_HEADER_ORDER (1000), the
-limit every edge-list header obeys.  verify exits 2, before any charpoly, when n + m
-exceeds MAX_VERIFY_ORDER (100); formula keeps only the header limit.  corpus checks
-its --report path before the run.  When stdout's reader has gone (head -n 1 read
-its line), the command ends quietly with exit 141, the shell's 128 + SIGPIPE.
+to transform, formula or verify), PreconditionViolated to 3 and a descriptor's
+NotDivisible or DegreeMismatch, which only formula raises, to 4, each with one
+"<cmd>: ..." stderr line; charpoly accepts an edgeless graph.  gen and transform
+exit 2, before building anything, when the graph they would write has n + m above
+graph.MAX_HEADER_ORDER (1000), the limit every edge-list header obeys.  verify
+exits 2, before any charpoly, when n + m exceeds MAX_VERIFY_ORDER (100); formula
+keeps only the header limit.  corpus checks its --report path before the run.
+When stdout's reader has gone (head -n 1 read its line), the command ends quietly
+with exit 141, the shell's 128 + SIGPIPE.
 Polynomial output is one line of ascending decimal coefficients, byte-identical
 across runs.  Data goes to stdout, diagnostics to stderr.
 """
@@ -109,11 +110,7 @@ def cmd_formula(args) -> int:
     case = XyzCase.parse(args.case)
     g, r = _load_regular(args.input)
     desc = descriptor_for(case)
-    f = charpoly(signless_laplacian(g))
-    try:
-        poly = formula_charpoly(desc, g.n, g.m, r, f)
-    except (NotDivisible, DegreeMismatch) as exc:
-        return _fail(EXIT_FORMULA, f"formula: descriptor {case}: {exc}")
+    poly = formula_charpoly(desc, g.n, g.m, r, charpoly(signless_laplacian(g)))
     print(poly.to_string())
     print(f"# {render_formula_instantiated(desc, g.n, g.m, r)}")
     return EXIT_OK
@@ -204,6 +201,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, f"{args.command}: {exc}")
     except PreconditionViolated as exc:  # an input graph outside the paper's hypothesis
         return _fail(EXIT_IRREGULAR, f"{args.command}: {exc}")
+    except (NotDivisible, DegreeMismatch) as exc:  # only formula's: verify records them per result
+        return _fail(EXIT_FORMULA, f"{args.command}: descriptor {args.case}: {exc}")
     return code
 
 

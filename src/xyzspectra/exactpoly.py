@@ -68,10 +68,6 @@ class _Poly:
     def __reduce__(self):  # pickle and copy rebuild through _poly, as __setattr__ refuses the slot
         return _poly, (type(self), list(self.coeffs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -194,7 +190,7 @@ class IntPoly(_Poly):
 
     def to_string(self) -> str:
         """Ascending coefficients as space-separated decimal strings."""
-        if self.is_zero:
+        if not self:
             return "0"
         return " ".join(str(c) for c in self.coeffs)
 
@@ -206,15 +202,15 @@ class IntPoly(_Poly):
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """Quotient q with a = b*q; raises NotDivisible when no such q exists.
 
-    A divisor of 1 or -1 returns a itself or -a, which is safe as IntPoly is immutable."""
+    A divisor of 1 or -1 returns a or -a, and a zero a returns a: safe, as IntPoly is immutable."""
     if b.coeffs == (1,):
         return a
     if b.coeffs == (-1,):
         return -a
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return IntPoly.zero()
+    if not a:
+        return a
     if a.degree < b.degree:
         raise NotDivisible(f"degree {a.degree} < {b.degree}")
     rem = list(a.coeffs)
@@ -297,7 +293,7 @@ class BiPoly(_Poly):
 
     def pretty(self, u: str = "x", v: str = "y") -> str:
         """Term-by-term display, u-major: x^2 - x*y + 3."""
-        if self.is_zero:
+        if not self:
             return "0"
         terms = []
         for i, row in reversed(list(enumerate(self.grid))):
@@ -554,7 +550,7 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     """
     if not p.is_monic:
         raise ValueError("eig_product: p must be monic")
-    if g.is_zero:
+    if not g:
         raise ValueError("eig_product: g must be nonzero")
     return resultant(_poly(BiPoly, [_intpoly([c]) for c in p.coeffs]), g)
 

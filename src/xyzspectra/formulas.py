@@ -24,11 +24,11 @@ over Z, fixes N by its signed base-2^K digits (Kronecker substitution; von zur G
 and Gerhard, Modern Computer Algebra, 8.4).  Above _KRONECKER_MAX_BITS the factors
 are multiplied as polynomials.  Both routes end in the same exact division.
 
-Descriptors carry a status flag.  Entries marked "corrected" deviate
-from the published form of the catalog they transcribe (sign slips, a
-dropped factor, an unbound symbol); the original display is retained in
-the record, and every corrected form is held to exact agreement with
-the brute-force construction over the whole verification corpus.
+A descriptor's status is read off its record: one that retains a
+published form is "corrected", as it deviates from the catalog it
+transcribes (sign slips, a dropped factor, an unbound symbol), and
+every corrected form is held to exact agreement with the brute-force
+construction over the whole verification corpus.
 """
 
 from __future__ import annotations
@@ -77,8 +77,12 @@ class FormulaDescriptor:
     linear_factors: tuple[tuple[str, str], ...]      # (root, exponent) -> (lam - root)^exponent
     eig_factor: str | None                           # g(lam, q), product over q_1..q_{n-1}
     composed_terms: tuple[tuple[int, str], ...]      # (a, b) -> factor f(a*lam + b)
-    status: str = "as-published"                     # or "corrected"
-    published_form: str = ""                         # original display when corrected
+    published_form: str = ""                         # printed display, retained when corrected
+
+    @property
+    def status(self) -> str:
+        """The audit's status: corrected exactly when a published form is retained."""
+        return "corrected" if self.published_form else "as-published"
 
 
 def list_cases() -> list[XyzCase]:
@@ -89,8 +93,7 @@ def list_cases() -> list[XyzCase]:
 def _build_table() -> dict[XyzCase, FormulaDescriptor]:
     table: dict[XyzCase, FormulaDescriptor] = {}
 
-    def add(case, prefactor="1", linear=(), eig=None, composed=(), sign="0",
-            status="as-published", published=""):
+    def add(case, prefactor="1", linear=(), eig=None, composed=(), sign="0", published=""):
         key = XyzCase.parse(case)
         table[key] = FormulaDescriptor(
             case=key,
@@ -99,7 +102,6 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
             linear_factors=tuple(linear),
             eig_factor=eig,
             composed_terms=tuple(composed),
-            status=status,
             published_form=published,
         )
 
@@ -163,15 +165,7 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
                 sign = sx
             else:
                 sign = f"{sx} + {sy}"
-            note = z0_notes.get(case, "")
-            add(
-                case,
-                sign=sign,
-                linear=lx + ly,
-                composed=cx + cy,
-                status="corrected" if note else "as-published",
-                published=note,
-            )
+            add(case, sign=sign, linear=lx + ly, composed=cx + cy, published=z0_notes.get(case, ""))
 
     # ------------------------------------------------------------------
     # z = 1: cross edges join every vertex to every edge.  The vertex and
@@ -236,7 +230,6 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
         linear=[("m", "m - n")], eig="(lam - m)*(lam - r - q) - q")
     add("-1+", prefactor="(lam - 2*m)*(lam - 2*n + r + 2) - 2*r",
         linear=[("m", "m - n")], eig="(lam - m)*(lam - n - r + 2 + q) - q",
-        status="corrected",
         published="[(lam - 2m)(lam - 2n + r + 2) - 2r] * (lam - m)^(m-n)"
                   " * prod[(lam - m)(lam - n + r + 2 - q_i) - q_i]"
                   " [per-eigenvalue factor printed with +r and -q_i;"
@@ -265,7 +258,6 @@ def _build_table() -> dict[XyzCase, FormulaDescriptor]:
         linear=[("n - 2", "m - n")], eig="(lam - m + r)*(lam - n + 2) - q")
     add("10-", prefactor="(lam - n + 2)*(lam - 2*n - m + r + 2) + (2*r - m)*n - 2*r",
         linear=[("n - 2", "m - n")], eig="(lam - m - n + r + 2)*(lam - n + 2) - q",
-        status="corrected",
         published="[(lam - n + 2)(lam - 2n + m + r + 2) + (2r - m)n - 2r]"
                   " * (lam - n + 2)^(m-n)"
                   " * prod[(lam - m - n + r + 2)(lam - n + 2) - q_i]"

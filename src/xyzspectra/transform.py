@@ -3,9 +3,7 @@
 A transformation is selected by three symbols drawn from {0, 1, +, -}.  The result lives
 on the disjoint union of the vertex set and the edge set: the first symbol picks the graph
 on the original vertices, the second the same on the edge part via the line graph, and the
-third the cross pairs of a vertex and an edge.  One rule serves every symbol: 0 and 1 start
-from nothing, + and - from the graph (or from the incident pairs, for the cross pairs), and
-1 and - then take the complement (for the cross pairs, the rest of all n*m pairs).
+third the cross pairs of a vertex and an edge.  One rule, applied in _part, serves every symbol.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from functools import lru_cache
 
 from .graph import EmptyEdgeSet, Graph, InvalidParameter, _graph, complement, line_graph
 
-__all__ = ["SYMBOLS", "XyzCase", "part_graph", "cross_edges", "xyz_transform", "transform_size"]
+__all__ = ["SYMBOLS", "XyzCase", "xyz_transform", "transform_size"]
 
 SYMBOLS = ("0", "1", "+", "-")
 _SWAP = str.maketrans("01+-", "10-+")  # a case's text to its complement's
@@ -48,37 +46,26 @@ class XyzCase:
         return XyzCase(*str(self).translate(_SWAP))
 
 
-def part_graph(g: Graph, s: str) -> Graph:
-    """Graph induced on the vertex set by one symbol: 0 and 1 start from the edgeless graph,
-    + and - from g, and 1 and - take the complement (complete, or g's complement)."""
-    if s not in SYMBOLS:
-        raise InvalidParameter(f"unknown part symbol {s!r}")
-    base = g if s in "+-" else Graph(g.n, ())
-    return complement(base) if s in "1-" else base
-
-
-def cross_edges(g: Graph, z: str) -> list[tuple[int, int]]:
-    """Vertex-edge pairs selected by z, as (vertex index, edge index), vertex-major: 0 and 1 start
-    from none, + and - from the incident pairs, and 1 and - take the rest of all n*m pairs."""
-    if z not in SYMBOLS:
-        raise InvalidParameter(f"unknown cross symbol {z!r}")
-    base = sorted((v, j) for j, e in enumerate(g.edges) for v in e) if z in "+-" else []
-    return sorted({(v, j) for v in range(g.n) for j in range(g.m)}.difference(base)) if z in "1-" else base
-
-
 @lru_cache(maxsize=13)  # one graph's parts: 4 symbols at each of 3 positions, and its line graph
 def _part(g: Graph, key: str) -> tuple | Graph:
     """One part of g's transforms, built once: "x" + x, "y" + y or "z" + z gives its edges, numbered as
-    xyz_transform's, and "L" the line graph, which the edge parts of + and - take."""
+    xyz_transform's, and "L" the line graph.  0 and 1 start from nothing, + and - from g (the line
+    graph for y, the incident pairs for z), and 1 and - then take the complement (for z, the rest of
+    all n*m pairs); the cross pairs (v, n + j) are vertex-major."""
     n, p, s = g.n, key[0], key[1:]
-    if p == "x":
-        return part_graph(g, s).edges
-    if p == "z":
-        return tuple((v, n + j) for v, j in cross_edges(g, s))
     if p == "L":
         return line_graph(g)
-    line = _part(g, "L") if s in "+-" else Graph(g.m, ())
-    return tuple((n + a, n + b) for a, b in part_graph(line, s).edges)
+    if p == "z":
+        pairs = sorted((v, n + j) for j, e in enumerate(g.edges) for v in e) if s in "+-" else []
+        if s in "1-":
+            pairs = sorted({(v, n + j) for v in range(n) for j in range(g.m)}.difference(pairs))
+        return tuple(pairs)
+    if s in "+-":
+        base = g if p == "x" else _part(g, "L")
+    else:
+        base = Graph(n if p == "x" else g.m, ())
+    edges = (complement(base) if s in "1-" else base).edges
+    return edges if p == "x" else tuple((n + a, n + b) for a, b in edges)
 
 
 def xyz_transform(g: Graph, case: XyzCase) -> Graph:

@@ -261,7 +261,7 @@ class TestFormula:
 
         monkeypatch.setattr(cli, "formula_charpoly", boom)
         assert cli.main(["formula", k3_file, "--case", "+++"]) == 4
-        assert "descriptor +++" in capsys.readouterr().err
+        assert capsys.readouterr().err == "formula: descriptor +++: nonzero remainder\n"
 
 
 class TestVerify:

@@ -21,7 +21,7 @@ from xyzspectra.graph import (
     petersen_graph,
 )
 from xyzspectra.formulas import list_cases
-from xyzspectra.transform import cross_edges, part_graph, transform_size, xyz_transform
+from xyzspectra.transform import transform_size, xyz_transform
 from xyzspectra.verify import default_corpus, run_corpus
 
 from helpers import case
@@ -37,6 +37,16 @@ GENERATED = [
     ("petersen", []), ("circulant", [5, 1]), ("circulant", [6, 1, 2]), ("circulant", [6, 3]),
     ("circulant", [7, 1, 3]), ("circulant", [8, 1, 4]), ("circulant", [8, 2]), ("circulant", [9, 3, 1]),
 ]
+
+
+def part_graph(g, s):
+    """The vertex part of symbol s, as a graph on g's vertices."""
+    return Graph(g.n, transform._part(g, "x" + s))
+
+
+def cross_edges(g, z):
+    """The cross pairs of symbol z, as (vertex index, edge index)."""
+    return [(v, j - g.n) for v, j in transform._part(g, "z" + z)]
 
 
 def small_rule_blob():
@@ -78,7 +88,7 @@ class TestPartGraph:
 
     def test_self_part(self):
         c4 = cycle_graph(4)
-        assert part_graph(c4, "+") is c4
+        assert transform._part(c4, "x+") is c4.edges
 
     def test_complement_part(self):
         c5 = cycle_graph(5)
