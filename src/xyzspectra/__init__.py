@@ -49,7 +49,6 @@ from .graph import (
     regularity,
 )
 from .linalg import (
-    DimensionMismatch,
     IntMatrix,
     NotSquare,
     adjacency,

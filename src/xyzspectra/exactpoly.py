@@ -20,7 +20,7 @@ from math import isqrt, prod
 from operator import index, mul
 
 from .graph import Graph
-from .linalg import IntMatrix, NotSquare
+from .linalg import IntMatrix
 
 __all__ = [
     "IntPoly",
@@ -254,8 +254,8 @@ class BiPoly(_Poly):
     def __init__(self, grid=()):
         rows = [[index(c) for c in row] for row in grid]
         width = max(map(len, rows), default=0)
-        cols = [_intpoly([row[j] if j < len(row) else 0 for row in rows]) for j in range(width)]
-        object.__setattr__(self, "coeffs", _trim(cols))
+        columns = [_intpoly([row[j] if j < len(row) else 0 for row in rows]) for j in range(width)]
+        object.__setattr__(self, "coeffs", _trim(columns))
 
     @classmethod
     def constant(cls, c: int) -> BiPoly:
@@ -273,8 +273,8 @@ class BiPoly(_Poly):
 
     @property
     def grid(self) -> tuple:
-        cols = [c.coeffs for c in self.coeffs]
-        return tuple(_trim([c[i] if i < len(c) else 0 for c in cols]) for i in range(self.deg_u + 1))
+        columns = [c.coeffs for c in self.coeffs]
+        return tuple(_trim([c[i] if i < len(c) else 0 for c in columns]) for i in range(self.deg_u + 1))
 
     @property
     def deg_u(self) -> int:
@@ -357,8 +357,6 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     where x - t*0 = x + t*0 = x, an elimination writes row i only at column k and at row k's nonzero
     columns, and column k only in column i's nonzero rows: the dense reduction's matrix, entry for entry.
     """
-    if not mat.is_square:
-        raise NotSquare("charpoly: matrix must be square")
     e = prod(2 + isqrt(sum(map(mul, row, row))) for row in mat.entries).bit_length()
     while True:  # e goes from bits(B) to the least prime above it, then to the next prime
         with suppress(ValueError):  # when a pivot shares a factor with 2^e - 1
@@ -418,10 +416,10 @@ def _hessenberg(h: list, p: int) -> list:
         if not nz[1:]:  # no row to eliminate
             continue
         hk, inv = h[k], pow(h[k][k - 1], -1, p)
-        cols = [k, *filter(hk.__getitem__, range(k + 1, n))]  # of row k, only column k changes below
+        columns = [k, *filter(hk.__getitem__, range(k + 1, n))]  # of row k, only column k changes below
         for i in nz[1:]:  # row_i -= t*row_k from column k (column k - 1 is not read again)
             t, hi = h[i][k - 1] * inv % p, h[i]
-            for j in cols:
+            for j in columns:
                 hi[j] = (hi[j] - t * hk[j]) % p
             for row in h[s:]:  # col_k += t*col_i
                 if x := row[i]:

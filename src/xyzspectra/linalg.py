@@ -1,10 +1,11 @@
-"""Dense matrices over the integers (arbitrary precision).
+"""Square matrices over the integers (arbitrary precision).
 
 Everything downstream depends on exactness, so entries are plain Python
-ints and no floating point appears anywhere.  A matrix has at most n + m
-rows, which the edge-list header limits to 1000, so dense row tuples are
-the simplest correct storage for charpoly (charpoly_pair reads edge lists).
-A, L and Q are each d*D + a*A, built in one pass over the edge list.
+ints and no floating point appears anywhere.  A matrix is square by
+construction and has at most n + m rows, which the edge-list header limits
+to 1000, so dense row tuples are the simplest correct storage for charpoly
+(charpoly_pair reads edge lists).  A, L and Q are each d*D + a*A, built in
+one pass over the edge list.
 """
 
 from __future__ import annotations
@@ -16,16 +17,11 @@ from .graph import Graph
 
 __all__ = [
     "IntMatrix",
-    "DimensionMismatch",
     "NotSquare",
     "adjacency",
     "laplacian",
     "signless_laplacian",
 ]
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class NotSquare(ValueError):
@@ -34,27 +30,21 @@ class NotSquare(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
+    """Immutable dense integer matrix, row-major.  IntMatrix(rows) coerces each entry with
+    operator.index (any other entry raises TypeError) and raises NotSquare unless every row is
+    as long as there are rows; IntMatrix([]) is the 0 x 0 matrix."""
 
-    rows: int
-    cols: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionMismatch("row count does not match entries")
-        if any(len(row) != self.cols for row in self.entries):
-            raise DimensionMismatch("column count does not match entries")
-
-    @classmethod
-    def from_rows(cls, rows) -> IntMatrix:
-        """Matrix from rows of ints; any other entry raises TypeError."""
-        tup = tuple(tuple(index(x) for x in row) for row in rows)
-        return cls(len(tup), len(tup[0]) if tup else 0, tup)
+        entries = tuple(tuple(map(index, row)) for row in self.entries)
+        if any(len(row) != len(entries) for row in entries):
+            raise NotSquare("matrix must be square")
+        object.__setattr__(self, "entries", entries)
 
     @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    def rows(self) -> int:
+        return len(self.entries)
 
 
 # ----------------------------------------------------------------------------
@@ -69,7 +59,7 @@ def _graph_matrix(g: Graph, d: int, a: int) -> IntMatrix:
         rows[u][u] += d
         rows[v][v] += d
         rows[u][v] = rows[v][u] = a
-    return IntMatrix(g.n, g.n, tuple(tuple(row) for row in rows))
+    return IntMatrix(rows)
 
 
 def adjacency(g: Graph) -> IntMatrix:

@@ -51,19 +51,28 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of one (graph, case) comparison.
+    """One (graph, case) comparison: the two polynomials, or the error that stopped it.
 
-    outcome is "match", "mismatch" or "error"; diff is formula - oracle
-    and is the zero polynomial exactly when outcome is "match".
+    outcome and diff are read off them: "error" with no diff when error is set,
+    else "match" with the zero diff exactly when the two are equal, else
+    "mismatch" with diff formula - oracle.
     """
 
     graph_id: str
     case: XyzCase
-    outcome: str
     formula_poly: IntPoly | None = None
     oracle_poly: IntPoly | None = None
-    diff: IntPoly | None = None
     error: str = ""
+
+    @property
+    def outcome(self) -> str:
+        return "error" if self.error else "match" if self.formula_poly == self.oracle_poly else "mismatch"
+
+    @property
+    def diff(self) -> IntPoly | None:
+        if self.error:
+            return None
+        return IntPoly.zero() if self.formula_poly == self.oracle_poly else self.formula_poly - self.oracle_poly
 
 
 @dataclass(frozen=True)
@@ -138,13 +147,12 @@ def _verify_graph(gid: str, g: Graph, cases) -> list[VerificationResult]:
         except Exception as exc:  # reported, never propagated
             results.append(_error(gid, case, exc))
             continue
-        diff = IntPoly.zero() if formula == oracle else formula - oracle
-        results.append(VerificationResult(gid, case, "mismatch" if diff else "match", formula, oracle, diff))
+        results.append(VerificationResult(gid, case, formula, oracle))
     return results
 
 
 def _error(gid: str, case: XyzCase, exc: Exception) -> VerificationResult:
-    return VerificationResult(gid, case, "error", error=f"{type(exc).__name__}: {exc}")
+    return VerificationResult(gid, case, error=f"{type(exc).__name__}: {exc}")
 
 
 def verify_case(g: Graph, case: XyzCase, graph_id: str = "") -> VerificationResult:
@@ -263,8 +271,8 @@ def check_line_graph_relation(g: Graph) -> bool:
 
 def _matmul(a: tuple, b: tuple) -> tuple:
     """Schoolbook product of two square matrices given as row tuples."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
 
 
 def _matrix_poly(p: BiPoly, first: tuple, second: tuple) -> tuple:
@@ -302,7 +310,7 @@ def check_eigen_lemma(g: Graph, p: BiPoly) -> bool:
         raise PreconditionViolated("eigenvalue lemma needs a regular graph")
     n = g.n
     qmat = signless_laplacian(g)
-    lhs = charpoly(IntMatrix.from_rows(_matrix_poly(p, qmat.entries, ((1,) * n,) * n)))
+    lhs = charpoly(IntMatrix(_matrix_poly(p, qmat.entries, ((1,) * n,) * n)))
 
     f = charpoly(qmat)
     reduced = reduced_qpoly(f, r)

@@ -149,12 +149,12 @@ def test_criterion_4_kernel_properties():
 
     # permutation similarity invariance: 50 random 6x6 matrices
     for _ in range(50):
-        mat = IntMatrix.from_rows(
+        mat = IntMatrix(
             [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
         )
         perm = list(range(6))
         rng.shuffle(perm)
-        permuted = IntMatrix.from_rows([[mat.entries[a][b] for b in perm] for a in perm])
+        permuted = IntMatrix([[mat.entries[a][b] for b in perm] for a in perm])
         if charpoly(permuted) != charpoly(mat):
             violations.append("similarity invariance fails")
 

@@ -366,7 +366,7 @@ class TestVerify:
         from xyzspectra.verify import CorpusReport, VerificationResult
 
         def fake(graphs, cases=None):
-            res = VerificationResult("k3", cases[0], "mismatch", diff=IntPoly((1,)))
+            res = VerificationResult("k3", cases[0], IntPoly((1,)), IntPoly.zero())
             return CorpusReport(("k3",), tuple(cases), (res,), 0.0)
 
         monkeypatch.setattr(cli, "run_corpus", fake)

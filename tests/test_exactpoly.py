@@ -164,7 +164,7 @@ def bareiss_charpoly(mat):
     a reference for charpoly that shares no code with either recurrence."""
     n = mat.rows
     return integer_interpolate([
-        bareiss_det(IntMatrix.from_rows(
+        bareiss_det(IntMatrix(
             [[(x0 if i == j else 0) - mat.entries[i][j] for j in range(n)] for i in range(n)]
         ))
         for x0 in range(n + 1)
@@ -181,7 +181,7 @@ def sylvester_resultant(pc, hc):
         return 1
     rows = [[0] * i + pc[::-1] + [0] * (size - dp - 1 - i) for i in range(dh)]
     rows += [[0] * i + hc[::-1] + [0] * (size - dh - 1 - i) for i in range(dp)]
-    return bareiss_det(IntMatrix.from_rows(rows))
+    return bareiss_det(IntMatrix(rows))
 
 
 def sylvester_bi_resultant(a, b):
@@ -213,6 +213,8 @@ class TestArithmetic:
 
     def test_pow_binomial(self):
         assert poly(-2, 1) ** 3 == poly(-8, 12, -6, 1)
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            poly(-2, 1) ** -1
 
     def test_pow_is_repeated_product_in_minimal_products(self, monkeypatch):
         # k = 0, 1 and the powers of two are the loop's exit boundaries; for k >= 1 binary
@@ -258,6 +260,8 @@ class TestArithmetic:
     def test_pretty(self):
         assert poly(40, -14, 1).pretty("lam") == "lam^2 - 14*lam + 40"
         assert IntPoly.zero().pretty() == "0"
+        assert IntPoly.zero().to_string() == "0"
+        assert repr(poly(40, -14, 1)) == "IntPoly([40, -14, 1])"
 
     def test_int_mixing(self):
         p = poly(1, 2)
@@ -310,7 +314,7 @@ class TestComposeLinear:
 
 class TestCharpoly:
     def test_zero_matrix(self):
-        assert charpoly(IntMatrix.from_rows([[0, 0], [0, 0]])) == poly(0, 0, 1)
+        assert charpoly(IntMatrix([[0, 0], [0, 0]])) == poly(0, 0, 1)
 
     def test_k3_hand_expansion(self):
         assert charpoly(signless_laplacian(complete_graph(3))) == poly(-4, 9, -6, 1)
@@ -338,7 +342,7 @@ class TestCharpoly:
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 5)
-            mat = IntMatrix.from_rows(
+            mat = IntMatrix(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             )
             assert charpoly(mat) == brute_charpoly(mat)
@@ -347,7 +351,7 @@ class TestCharpoly:
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 6)
-            mat = IntMatrix.from_rows(
+            mat = IntMatrix(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
             assert charpoly(mat)(0) == (-1) ** (n % 2) * bareiss_det(mat)
@@ -360,20 +364,20 @@ class TestCharpoly:
             a = [[rng.randint(-5, 5) for _ in range(na)] for _ in range(na)]
             b = [[rng.randint(-5, 5) for _ in range(nb)] for _ in range(nb)]
             rows = [row + [0] * nb for row in a] + [[0] * na + row for row in b]
-            combined = charpoly(IntMatrix.from_rows(rows))
-            parts = charpoly(IntMatrix.from_rows(a)) * charpoly(IntMatrix.from_rows(b))
+            combined = charpoly(IntMatrix(rows))
+            parts = charpoly(IntMatrix(a)) * charpoly(IntMatrix(b))
             assert combined == parts
 
     def test_permutation_similarity(self):
         rng = random.Random(13)
         for _ in range(10):
             n = 6
-            mat = IntMatrix.from_rows(
+            mat = IntMatrix(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
             perm = list(range(n))
             rng.shuffle(perm)
-            permuted = IntMatrix.from_rows([[mat.entries[a][b] for b in perm] for a in perm])
+            permuted = IntMatrix([[mat.entries[a][b] for b in perm] for a in perm])
             assert charpoly(permuted) == charpoly(mat)
 
     def test_all_transforms_match_bareiss_reference(self):
@@ -394,34 +398,34 @@ class TestCharpoly:
 
     def test_zero_pivot_is_swapped_in(self):
         # column 0 is zero on the subdiagonal but not below it
-        mat = IntMatrix.from_rows([[1, 2, 3], [0, 4, 5], [6, 7, -8]])
+        mat = IntMatrix([[1, 2, 3], [0, 4, 5], [6, 7, -8]])
         assert charpoly(mat) == brute_charpoly(mat) == berkowitz_charpoly(mat)
 
     def test_zero_column_below_subdiagonal_is_skipped(self):
         # block upper triangular: column 1 has nothing to eliminate
-        mat = IntMatrix.from_rows([[1, -2, 3, 4], [5, 6, 7, 8], [0, 0, 9, -1], [0, 0, 2, 3]])
+        mat = IntMatrix([[1, -2, 3, 4], [5, 6, 7, 8], [0, 0, 9, -1], [0, 0, 2, 3]])
         assert charpoly(mat) == brute_charpoly(mat) == berkowitz_charpoly(mat)
 
     def test_tabulated_prime_boundaries(self):
         # B = 2^60 + 2 has 61 bits, so e = 67: e = 61 would give 2^61 - 1, which
         # is above B but not above 2B, and would lift -2^60 to 2^60 - 1
         for a in (2**60, -2**60):
-            assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
+            assert charpoly(IntMatrix([[a]])) == IntPoly.linear_root(a)
         big = 2 * 2**11211  # no ceiling: B = 2^11212 + 2 takes e = 11239
-        assert charpoly(IntMatrix.from_rows([[big]])) == IntPoly.linear_root(big)
+        assert charpoly(IntMatrix([[big]])) == IntPoly.linear_root(big)
 
     def test_modulus_one_bit_above_the_bound(self):
         # B = 2^60 - 1 has 60 bits and 61 is prime, so p = 2^61 - 1 = 2B + 1, the least
         # modulus that lifts every |c| <= B; +-(2^60 - 3) lift exactly
         with recording_moduli(moduli := []):
             for a in (2**60 - 3, 3 - 2**60):
-                assert charpoly(IntMatrix.from_rows([[a]])) == IntPoly.linear_root(a)
+                assert charpoly(IntMatrix([[a]])) == IntPoly.linear_root(a)
         assert moduli == [2**61 - 1] * 2
 
     def test_non_unit_pivot_retries_at_the_next_prime(self):
         # B = 3 * 25 * 5 has 9 bits, so e = 11 and p = 2047 = 23 * 89: the pivot 23 has
         # no inverse mod p, and the retry at e = 13 gives the exact polynomial
-        mat = IntMatrix.from_rows([[1, 0, 0], [23, 2, 0], [1, 0, 3]])
+        mat = IntMatrix([[1, 0, 0], [23, 2, 0], [1, 0, 3]])
         with recording_moduli(moduli := []):
             assert charpoly(mat) == from_roots(1, 2, 3) == berkowitz_charpoly(mat)
         assert moduli == [2**11 - 1, 2**13 - 1]
@@ -493,21 +497,21 @@ class TestCharpolyPair:
 
 class TestDet:
     def test_small_cases(self):
-        assert bareiss_det(IntMatrix.from_rows([[5]])) == 5
-        assert bareiss_det(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
-        assert bareiss_det(IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])) == 1
+        assert bareiss_det(IntMatrix([[5]])) == 5
+        assert bareiss_det(IntMatrix([[1, 2], [3, 4]])) == -2
+        assert bareiss_det(IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 1
 
     def test_singular_with_zero_pivot(self):
-        assert bareiss_det(IntMatrix.from_rows([[0, 1], [0, 2]])) == 0
+        assert bareiss_det(IntMatrix([[0, 1], [0, 2]])) == 0
 
     def test_row_swap_pivoting(self):
-        assert bareiss_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+        assert bareiss_det(IntMatrix([[0, 1], [1, 0]])) == -1
 
     def test_against_permutation_expansion(self):
         rng = random.Random(17)
         for _ in range(20):
             n = rng.randint(1, 5)
-            mat = IntMatrix.from_rows(
+            mat = IntMatrix(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             )
             assert bareiss_det(mat) == brute_charpoly(mat)(0) * (-1) ** (n % 2)
@@ -516,14 +520,16 @@ class TestDet:
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(0, 6)
-            mat = IntMatrix.from_rows(
+            mat = IntMatrix(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             )
             assert det(mat) == bareiss_det(mat)
 
     def test_public_det_rejects_non_square(self):
+        # a non-square matrix cannot be built, so det never sees one
         with pytest.raises(NotSquare):
-            det(IntMatrix.from_rows([[1, 2]]))
+            IntMatrix([[1, 2]])
+        assert det(IntMatrix([])) == 1
 
 
 class TestReducedQPoly:
@@ -697,6 +703,7 @@ class TestBiPoly:
     def test_canonical_grid(self):
         assert BiPoly([[1, 0, 0], [0, 0], [2, 3, 0], [0]]) == BiPoly([[1], [], [2, 3]])
         assert BiPoly([[1, 0], [0, 0]]).grid == ((1,),)
+        assert repr(BiPoly([[1, 0, 0], [0, 0], [2, 3, 0], [0]])) == "BiPoly([[1], [], [2, 3]])"
         assert (BiPoly.u() * BiPoly.u() + 1).grid == ((1,), (), (1,))
 
     def test_equal_only_within_a_class(self):
@@ -892,7 +899,7 @@ def int_matrices(draw):
     rows = [[0 if i >= split > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
     if draw(st.booleans()):
         rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 @seed(19840101)
@@ -916,7 +923,7 @@ def permuted_block_triangular(draw):
     flat = [0 if b % 2 == 0 else (b // 2 + 9) % 19 - 9 for b in data]
     rows = [[flat[i * n + j] if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
     perm = draw(st.permutations(range(n)))
-    return IntMatrix.from_rows([[rows[a][b] for b in perm] for a in perm])
+    return IntMatrix([[rows[a][b] for b in perm] for a in perm])
 
 
 @seed(20240517)
@@ -964,7 +971,7 @@ def sparse_int_matrices(draw):
     flat = [(b % 9 + 1) * (-1) ** (b >> 7) if a % 100 >= 100 - density else 0
             for a, b in zip(data[::2], data[1::2])]
     zeroed = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
-    return IntMatrix.from_rows([[0 if i in zeroed or j in zeroed else flat[i * n + j] for j in range(n)]
+    return IntMatrix([[0 if i in zeroed or j in zeroed else flat[i * n + j] for j in range(n)]
                                 for i in range(n)])
 
 
@@ -1036,7 +1043,7 @@ def test_widest_slot_sum_does_not_carry():
     # charpoly from the 1 x 1 block's on holds the redundant 127, and the last step sums
     # 127 * 127 + 32 * 126 * 127 = 528193 > 2^19 there: all W = 2e + bits(N + 1) = 20 bits
     n, p = 34, 127
-    mat = IntMatrix.from_rows(
+    mat = IntMatrix(
         [[1 if i == j + 1 or 0 < i < j else 0 for j in range(n)] for i in range(n)]
     )
     got = charpoly_mod(mat, p).coeffs

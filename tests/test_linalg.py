@@ -1,11 +1,14 @@
 """Integer matrix storage, the graph matrices, and the structural incidence identities."""
 
+import dataclasses
+
 import pytest
 
+from xyzspectra.exactpoly import IntPoly, charpoly
 from xyzspectra.graph import Graph, complete_graph, cycle_graph, line_graph
 from xyzspectra.linalg import (
-    DimensionMismatch,
     IntMatrix,
+    NotSquare,
     adjacency,
     laplacian,
     signless_laplacian,
@@ -38,23 +41,27 @@ def as_rows(mat):
 
 class TestMatrixOps:
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            IntMatrix(2, 2, ((1, 2),))
-        with pytest.raises(DimensionMismatch):
-            IntMatrix(1, 2, ((1,),))
-        with pytest.raises(DimensionMismatch):
-            IntMatrix.from_rows([[1, 2], [3]])
+        # the one constructor is the one shape check: every row as long as there are rows
+        for rows in ([[1, 2]], [[1, 2], [3]], [[]], [[1], [2]]):
+            with pytest.raises(NotSquare):
+                IntMatrix(rows)
+        empty = IntMatrix([])
+        assert (empty.entries, empty.rows) == ((), 0)
+        assert charpoly(empty) == IntPoly.one()
+        mat = IntMatrix(([1, 2], (3, 4)))
+        assert (mat.entries, mat.rows) == (((1, 2), (3, 4)), 2)
+        assert [f.name for f in dataclasses.fields(IntMatrix)] == ["entries"]
 
     def test_from_rows_rejects_non_int(self):
         for bad in (1.5, "3", None):
             with pytest.raises(TypeError):
-                IntMatrix.from_rows([[1, bad]])
-        assert IntMatrix.from_rows([[True, 2]]).entries == ((1, 2),)
+                IntMatrix([[1, bad], [3, 4]])
+        assert IntMatrix([[True, 2], [3, False]]).entries == ((1, 2), (3, 0))
 
 
 class TestGraphMatrices:
     def test_signless_laplacian_k2(self):
-        assert signless_laplacian(complete_graph(2)) == IntMatrix.from_rows([[1, 1], [1, 1]])
+        assert signless_laplacian(complete_graph(2)) == IntMatrix([[1, 1], [1, 1]])
 
     def test_incidence_k3(self):
         # edge order of the generator is lexicographic: (0,1), (0,2), (1,2)
@@ -111,7 +118,7 @@ PINNED_GRAPHS = default_corpus() + [
 def test_graph_matrices_match_edge_list_definitions(g):
     for build, rows in edge_list_definitions(g).items():
         mat = build(g)
-        assert (mat.rows, mat.cols) == (g.n, g.n)
+        assert mat.rows == g.n and all(len(row) == g.n for row in mat.entries)
         assert [list(row) for row in mat.entries] == rows, build.__name__
         assert all(type(x) is int for row in mat.entries for x in row)
 

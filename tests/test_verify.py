@@ -258,6 +258,25 @@ class TestCasePlan:
             assert len(calls) == (c.y in "+-"), str(c)
 
 
+class TestVerificationResult:
+    def test_outcome_and_diff_read_off_the_polynomials(self):
+        names = [f.name for f in dataclasses.fields(VerificationResult)]
+        assert names == ["graph_id", "case", "formula_poly", "oracle_poly", "error"]
+        c = case("+1-")
+        formula, oracle = IntPoly((3, 0, 1)), IntPoly((1, 2, 1))
+        res = VerificationResult("A", c, formula, oracle)
+        assert (res.outcome, res.diff) == ("mismatch", IntPoly((2, -2)))
+        assert res.diff == formula - oracle
+        res = VerificationResult("A", c, formula, IntPoly((3, 0, 1)))
+        assert (res.outcome, res.diff) == ("match", IntPoly.zero())
+        assert not res.diff
+        res = VerificationResult("A", c, error="ValueError: boom")
+        assert (res.outcome, res.diff) == ("error", None)
+        # an error outranks the polynomials, equal or not
+        assert VerificationResult("A", c, formula, oracle, "ValueError: boom").outcome == "error"
+        assert VerificationResult("A", c, formula, formula, "ValueError: boom").diff is None
+
+
 class TestCorpusReport:
     def test_tallies_read_off_results(self):
         # built by hand from the only four fields, so nothing but the results can set the tallies
@@ -265,9 +284,9 @@ class TestCorpusReport:
         assert names == ["graph_ids", "cases", "results", "runtime_seconds"]
         c0, c1 = case("000"), case("+1-")
         results = (
-            VerificationResult("A", c0, "match", diff=IntPoly.zero()),
-            VerificationResult("A", c1, "mismatch", diff=IntPoly.one()),
-            VerificationResult("B", c0, "error", error="ValueError: boom"),
+            VerificationResult("A", c0, IntPoly.one(), IntPoly.one()),
+            VerificationResult("A", c1, IntPoly.one(), IntPoly.zero()),
+            VerificationResult("B", c0, error="ValueError: boom"),
         )
         rep = CorpusReport(("A", "B"), (c0, c1), results, 0.0)
         assert rep.per_case == {"000": (1, 2), "+1-": (0, 1)}
