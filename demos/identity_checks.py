@@ -12,6 +12,7 @@ from itertools import combinations
 
 from xyzspectra import (
     BiPoly,
+    Graph,
     charpoly,
     check_complement_lemma,
     check_eigen_lemma,
@@ -19,7 +20,6 @@ from xyzspectra import (
     complement,
     complete_graph,
     cycle_graph,
-    from_edge_list,
     line_graph,
     list_cases,
     petersen_graph,
@@ -60,7 +60,7 @@ def cayley_z4z4(gens):
     """Cayley graph of Z4 x Z4; vertex (a, b) is 4a + b."""
     edges = {tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
              for a in range(4) for b in range(4) for da, db in gens}
-    return from_edge_list(16, sorted(edges))
+    return Graph(16, sorted(edges))
 
 
 mates = {

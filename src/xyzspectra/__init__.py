@@ -40,7 +40,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     format_edge_list,
-    from_edge_list,
     generate,
     hypercube_graph,
     line_graph,

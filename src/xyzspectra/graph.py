@@ -1,9 +1,9 @@
 """Simple undirected graphs with a canonical vertex and edge order.
 
-The edge order is part of the graph value: edge j of a graph becomes
-vertex j of its line graph, and the vertex order of every derived
-construction is fixed by it.  This makes every matrix (and hence every
-characteristic polynomial computation) deterministic.
+Graph(n, edges) is the one constructor.  The edge order is part of the
+graph value: edge j of a graph becomes vertex j of its line graph, and
+the vertex order of every derived construction is fixed by it.  This
+makes every matrix (and hence every characteristic polynomial) deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "IndexOutOfRange",
     "EmptyEdgeSet",
     "InvalidParameter",
-    "from_edge_list",
     "cycle_graph",
     "complete_graph",
     "complete_bipartite_graph",
@@ -63,22 +62,26 @@ class InvalidParameter(GraphError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with an ordered edge list.
 
-    Edges are unordered pairs; the list order is canonical and preserved.
-    Self-loops and duplicate edges (in either orientation) are rejected.
+    Graph(n, edges) coerces n and each endpoint with operator.index (TypeError
+    otherwise) and stores edges, any iterable of pairs read once, as a tuple of
+    int pairs in input order, the canonical order.  Self-loops and duplicate
+    edges (in either orientation) raise GraphError subclasses.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameter(f"vertex count must be >= 1, got {_shown(self.n)}")
+        n, edges = index(self.n), tuple((index(u), index(v)) for u, v in self.edges)
+        self.__dict__.update(n=n, edges=edges)  # frozen: set as _graph sets them
+        if n < 1:
+            raise InvalidParameter(f"vertex count must be >= 1, got {_shown(n)}")
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {_shown(u)}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IndexOutOfRange(f"edge ({_shown(u)},{_shown(v)}) out of range for n={_shown(self.n)}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRange(f"edge ({_shown(u)},{_shown(v)}) out of range for n={_shown(n)}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise DuplicateEdge(f"duplicate edge ({_shown(u)},{_shown(v)})")
@@ -97,8 +100,9 @@ class Graph:
 
 
 def _graph(n: int, edges: tuple) -> Graph:
-    """Graph(n, edges) unchecked, for edges simple and in range by construction, such as
-    validated graphs' edges on disjoint vertex ranges joined by distinct cross pairs."""
+    """Graph(n, edges) without the coercion and the checks, for transforms only: n an int and
+    edges a tuple of int pairs, simple and in range by construction (validated graphs' edges on
+    disjoint vertex ranges joined by distinct cross pairs)."""
     g = object.__new__(Graph)
     g.__dict__.update(n=n, edges=edges)
     return g
@@ -109,11 +113,6 @@ def _shown(value) -> str:
     only below 10**100 (str() raises above 4300 digits), so no message grows with its input."""
     text = "<int of over 100 digits>" if isinstance(value, int) and abs(value) >= 10**100 else str(value)
     return text if len(text) <= 40 else text[:40] + "..."
-
-
-def from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from int pairs (TypeError otherwise); the input order is the edge order."""
-    return Graph(n, tuple((index(u), index(v)) for u, v in pairs))
 
 
 # ----------------------------------------------------------------------------
@@ -141,7 +140,7 @@ def complete_bipartite_graph(a: int) -> Graph:
     if a < 1:
         raise InvalidParameter(f"part size must be >= 1, got {_shown(a)}")
     edges = [(u, a + w) for u in range(a) for w in range(a)]
-    return Graph(2 * a, tuple(edges))
+    return Graph(2 * a, edges)
 
 
 def petersen_graph() -> Graph:
@@ -152,7 +151,7 @@ def petersen_graph() -> Graph:
     outer = [tuple(sorted((i, (i + 1) % 5))) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [tuple(sorted((5 + i, 5 + (i + 2) % 5))) for i in range(5)]
-    return Graph(10, tuple(outer + spokes + inner))
+    return Graph(10, outer + spokes + inner)
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -166,7 +165,7 @@ def hypercube_graph(d: int) -> Graph:
             j = i ^ (1 << b)
             if i < j:
                 edges.append((i, j))
-    return Graph(size, tuple(edges))
+    return Graph(size, edges)
 
 
 def circulant_graph(k: int, offsets) -> Graph:
@@ -178,17 +177,17 @@ def circulant_graph(k: int, offsets) -> Graph:
     """
     if k < 3:
         raise InvalidParameter(f"circulant needs k >= 3, got {_shown(k)}")
-    folded = []
+    offsets, folded = list(offsets), []  # read once: the collision message quotes them
     for s in offsets:
         t = s % k
         if t == 0:
             raise InvalidParameter(f"offset {_shown(s)} is 0 mod {_shown(k)}")
         folded.append(min(t, k - t))
     if len(set(folded)) != len(folded):
-        raise InvalidParameter(f"offsets {_shown(list(offsets))} collide mod {_shown(k)}")
+        raise InvalidParameter(f"offsets {_shown(offsets)} collide mod {_shown(k)}")
     folded.sort()
     edges = dict.fromkeys(tuple(sorted((i, (i + s) % k))) for i in range(k) for s in folded)
-    return Graph(k, tuple(edges))  # each edge at its first (i, s)
+    return Graph(k, edges)  # each edge at its first (i, s)
 
 
 # kind -> (generator, parameter count, n + m of the graph it builds).  The
@@ -241,7 +240,7 @@ def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; edges in lexicographic order."""
     present = {(u, v) if u < v else (v, u) for u, v in g.edges}
     edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
-    return Graph(g.n, tuple(edges))
+    return Graph(g.n, edges)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -259,7 +258,7 @@ def line_graph(g: Graph) -> Graph:
         for j in range(i + 1, g.m)
         if ends[i] & ends[j]
     ]
-    return Graph(g.m, tuple(edges))
+    return Graph(g.m, edges)
 
 
 def regularity(g: Graph) -> int | None:
@@ -309,7 +308,7 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise InvalidParameter(f"edge line must be two integers, got {_shown(repr(ln))}")
-    return Graph(n, tuple(edges))
+    return Graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

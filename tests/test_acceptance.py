@@ -18,7 +18,6 @@ from xyzspectra.graph import (
     complement,
     complete_graph,
     cycle_graph,
-    from_edge_list,
     petersen_graph,
     regularity,
 )
@@ -238,7 +237,7 @@ def _cayley_z4z4(gens):
         tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
         for a in range(4) for b in range(4) for da, db in gens
     }
-    return from_edge_list(16, sorted(edges))
+    return Graph(16, sorted(edges))
 
 
 def _k4_count(g):

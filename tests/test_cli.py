@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from xyzspectra import cli, graph
 from xyzspectra.exactpoly import charpoly, charpoly_pair
 from xyzspectra.formulas import list_cases
-from xyzspectra.graph import complete_graph, format_edge_list, from_edge_list, parse_edge_list
+from xyzspectra.graph import Graph, complete_graph, format_edge_list, parse_edge_list
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.graph import cycle_graph
 from xyzspectra.transform import xyz_transform
@@ -46,7 +46,7 @@ def e3_file(tmp_path):
 @pytest.fixture
 def p3_file(tmp_path):
     path = tmp_path / "p3.g"
-    path.write_text(format_edge_list(from_edge_list(3, [(0, 1), (1, 2)])))
+    path.write_text(format_edge_list(Graph(3, [(0, 1), (1, 2)])))
     return str(path)
 
 

@@ -16,7 +16,6 @@ from xyzspectra.graph import (
     complete_graph,
     cycle_graph,
     format_edge_list,
-    from_edge_list,
     generate,
     hypercube_graph,
     line_graph,
@@ -37,38 +36,52 @@ def edge_key_set(g):
 
 class TestConstruction:
     def test_single_edge(self):
-        g = from_edge_list(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         assert (g.n, g.m) == (2, 1)
 
     def test_triangle(self):
-        g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-        assert g.m == 3
-        assert regularity(g) == 2
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        # any iterable of pairs, read once: a generator is not used up by the checks
+        for edges in (pairs, [list(e) for e in pairs], (e for e in pairs)):
+            g = Graph(3, edges)
+            assert g.m == 3
+            assert g.edges == tuple(pairs)
+            assert regularity(g) == 2
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEdge):
-            from_edge_list(3, [(0, 1), (0, 1)])
+            Graph(3, [(0, 1), (0, 1)])
 
     def test_duplicate_reversed_rejected(self):
         with pytest.raises(DuplicateEdge):
-            from_edge_list(3, [(0, 1), (1, 0)])
+            Graph(3, [(0, 1), (1, 0)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
-            from_edge_list(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRange):
-            from_edge_list(3, [(0, 3)])
+            Graph(3, [(0, 3)])
 
     def test_edge_order_preserved(self):
-        g = from_edge_list(4, [(2, 3), (0, 1)])
-        assert g.edges == ((2, 3), (0, 1))
+        for edges in ([(2, 3), (0, 1)], [[2, 3], [0, 1]]):
+            assert Graph(4, edges).edges == ((2, 3), (0, 1))
+
+    def test_list_pairs_give_a_hashable_value(self):
+        g = Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+        assert g == cycle_graph(4)
+        assert hash(g) == hash(cycle_graph(4))
 
     def test_non_int_endpoints_rejected(self):
         for bad in ((0.9, 1.7), (0, 1.0), ("0", 1), (0, None)):
             with pytest.raises(TypeError):
-                from_edge_list(3, [bad])
+                Graph(3, [bad])
+
+    def test_non_int_vertex_count_rejected(self):
+        for bad in (3.0, "3", None):
+            with pytest.raises(TypeError):
+                Graph(bad, [(0, 1)])
 
 
 class TestGenerators:
@@ -118,6 +131,8 @@ class TestGenerators:
             circulant_graph(8, [0])
         with pytest.raises(InvalidParameter):
             circulant_graph(8, [1, 7])  # 7 = -1 collides with 1
+        with pytest.raises(InvalidParameter, match=r"^offsets \[1, 9\] collide mod 8$"):
+            circulant_graph(8, (s for s in [1, 9]))  # a generator, read once
 
     def test_generate_dispatch(self):
         assert generate("cycle", [5]).m == 5
@@ -220,7 +235,7 @@ class TestRegularity:
         assert regularity(cycle_graph(7)) == 2
 
     def test_path_irregular(self):
-        assert regularity(from_edge_list(3, [(0, 1), (1, 2)])) is None
+        assert regularity(Graph(3, [(0, 1), (1, 2)])) is None
 
     def test_hypercube(self):
         assert regularity(hypercube_graph(3)) == 3

@@ -68,9 +68,7 @@ class TestGraphMatrices:
         assert incidence(complete_graph(3)) == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
     def test_incidence_follows_edge_order(self):
-        from xyzspectra.graph import from_edge_list
-
-        g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert incidence(g) == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
 
     def test_signless_laplacian_c4_entrywise(self):

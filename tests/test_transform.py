@@ -15,7 +15,6 @@ from xyzspectra.graph import (
     complete_graph,
     cycle_graph,
     format_edge_list,
-    from_edge_list,
     generate,
     line_graph,
     petersen_graph,
@@ -50,8 +49,8 @@ def cross_edges(g, z):
 
 
 def small_rule_blob():
-    three_k2 = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])  # r = 1: edgeless line graph, m < n
-    two_c3 = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # disconnected
+    three_k2 = Graph(6, [(0, 1), (2, 3), (4, 5)])  # r = 1: edgeless line graph, m < n
+    two_c3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # disconnected
     blob = [format_edge_list(xyz_transform(g, c))
             for g in (complete_graph(2), complete_graph(3), three_k2, two_c3) for c in list_cases()]
     blob += [format_edge_list(part_graph(g, s)) + f"{cross_edges(g, s)}\n"
@@ -194,7 +193,7 @@ class TestTransform:
 
     def test_irregular_input_accepted(self):
         # construction does not require regularity
-        p3 = from_edge_list(3, [(0, 1), (1, 2)])
+        p3 = Graph(3, [(0, 1), (1, 2)])
         t = xyz_transform(p3, case("00+"))
         assert t.n == 5
 
@@ -203,8 +202,8 @@ class TestTransform:
 CACHE_GRAPHS = {
     "K4": complete_graph(4),
     "C5": cycle_graph(5),
-    "3K2": from_edge_list(6, [(0, 1), (2, 3), (4, 5)]),
-    "P3": from_edge_list(3, [(0, 1), (1, 2)]),
+    "3K2": Graph(6, [(0, 1), (2, 3), (4, 5)]),
+    "P3": Graph(3, [(0, 1), (1, 2)]),
 }
 
 

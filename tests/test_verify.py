@@ -21,7 +21,6 @@ from xyzspectra.graph import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    from_edge_list,
     line_graph,
     petersen_graph,
     regularity,
@@ -64,7 +63,7 @@ class TestVerifyCase:
         assert res.oracle_poly == IntPoly.x() ** 8
 
     def test_irregular_reported_not_raised(self):
-        p3 = from_edge_list(3, [(0, 1), (1, 2)])
+        p3 = Graph(3, [(0, 1), (1, 2)])
         res = verify_case(p3, case("111"))
         assert res.outcome == "error"
         assert "regular" in res.error
@@ -100,8 +99,12 @@ class TestRunCorpus:
         total = sum(t for _, t in rep.per_case.values())
         assert total == 6
 
+    def test_list_pair_graph_matches_every_case(self):
+        rep = run_corpus([("C4", Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]]))])
+        assert [r.outcome for r in rep.results] == ["match"] * 64
+
     def test_failure_capture(self):
-        p3 = from_edge_list(3, [(0, 1), (1, 2)])
+        p3 = Graph(3, [(0, 1), (1, 2)])
         rep = run_corpus([("P3", p3)], [case("000")])
         assert rep.failures == (("P3", "000"),)
         assert not rep.all_match
@@ -340,7 +343,7 @@ class TestComplementLemma:
 
     def test_irregular_rejected(self):
         with pytest.raises(PreconditionViolated):
-            check_complement_lemma(from_edge_list(3, [(0, 1), (1, 2)]))
+            check_complement_lemma(Graph(3, [(0, 1), (1, 2)]))
 
 
 class TestLineGraphRelation:
@@ -355,10 +358,10 @@ class TestLineGraphRelation:
 
     def test_irregular_rejected(self):
         with pytest.raises(PreconditionViolated, match="needs a regular graph"):
-            check_line_graph_relation(from_edge_list(3, [(0, 1), (1, 2)]))
+            check_line_graph_relation(Graph(3, [(0, 1), (1, 2)]))
 
     def test_m_less_than_n_rejected(self):
-        matching = from_edge_list(4, [(0, 1), (2, 3)])  # 1-regular, m < n
+        matching = Graph(4, [(0, 1), (2, 3)])  # 1-regular, m < n
         with pytest.raises(PreconditionViolated):
             check_line_graph_relation(matching)
 
@@ -387,7 +390,7 @@ class TestEigenLemma:
 
     def test_irregular_rejected(self):
         with pytest.raises(PreconditionViolated):
-            check_eigen_lemma(from_edge_list(3, [(0, 1), (1, 2)]), self.x())
+            check_eigen_lemma(Graph(3, [(0, 1), (1, 2)]), self.x())
 
     def test_matrix_poly_pinned_without_the_lemma(self):
         # P(Q, J) against values computed here: the Horner order and the
