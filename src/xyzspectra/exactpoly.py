@@ -1,13 +1,12 @@
 """Exact polynomial arithmetic over the integers.
 
-The computational kernel: integer univariate and bivariate polynomials, characteristic
-polynomials and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's
-bound, e prime), and products of a bivariate factor over the roots of a monic polynomial (one
-resultant over Z[x]), with a bound on their l1 norm and their value at one integer
-point (the same resultant loop over Z).  One ring arithmetic serves both polynomial
-classes: IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over
-IntPoly in the first, the layout the resultant in the second variable reads.  No floating
-point; every result is exact by a proven bound.  charpoly_pair takes a graph's Q and its complement's at once.
+The computational kernel: integer univariate and bivariate polynomials, characteristic polynomials
+and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's bound, e prime), and
+products of a bivariate factor over the roots of a monic polynomial (one resultant over Z[x], whose
+loop also runs over Z on sequences of ints).  One ring arithmetic serves both polynomial classes:
+IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over IntPoly in the
+first, the layout the resultant in the second variable reads.  No floating point; every result is
+exact by a proven bound.  charpoly_pair takes a graph's Q and its complement's at once.
 Constructors take ints only, and operator results are canonical by construction.
 """
 
@@ -182,11 +181,8 @@ class IntPoly(_Poly):
         return out * base if out is not None else base if k else IntPoly.one()
 
     def __call__(self, x):
-        """The value at x by Horner's rule; x may be an int or an IntPoly."""
-        y = 0
-        for c in reversed(self.coeffs):
-            y = y * x + c
-        return y
+        """The value at x; x may be an int or an IntPoly."""
+        return _horner(self.coeffs, x)
 
     def to_string(self) -> str:
         """Ascending coefficients as space-separated decimal strings."""
@@ -197,6 +193,14 @@ class IntPoly(_Poly):
     def pretty(self, var: str = "x") -> str:
         """Conventional display, highest power first: x^2 - 14*x + 40."""
         return _poly(BiPoly, [self]).pretty(var)
+
+
+def _horner(cs, x):
+    """The polynomial with ascending coefficients cs at x, by Horner's rule."""
+    y = 0
+    for c in reversed(cs):
+        y = y * x + c
+    return y
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -279,10 +283,6 @@ class BiPoly(_Poly):
     @property
     def deg_u(self) -> int:
         return max((c.degree for c in self.coeffs), default=-1)
-
-    @property
-    def deg_v(self) -> int:
-        return len(self.coeffs) - 1
 
     def __repr__(self):
         return f"BiPoly({[list(r) for r in self.grid]})"
@@ -551,18 +551,6 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     if not g:
         raise ValueError("eig_product: g must be nonzero")
     return resultant(_poly(BiPoly, [_intpoly([c]) for c in p.coeffs]), g)
-
-
-def eig_bound(p: IntPoly, g: BiPoly) -> int:
-    """A bound on norm1(eig_product(p, g)), the Sylvester determinant's: each term takes one
-    entry a_ij of each row, so norm1(det) <= prod_i sum_j norm1(a_ij), over deg_v(g) rows of
-    p's coefficients and deg(p) rows of g's v-coefficients g_j."""
-    return p.norm1 ** g.deg_v * sum(c.norm1 for c in g.coeffs) ** p.degree
-
-
-def eig_value(p: IntPoly, g: BiPoly, x: int) -> int:
-    """eig_product(p, g) at u = x, as Res_v(p(v), g(x, v)) by resultant's loop over Z."""
-    return _subresultant(p.coeffs, g.eval_u(x).coeffs, 1, _int_div)
 
 
 def signed_digits(v: int, k: int) -> IntPoly:

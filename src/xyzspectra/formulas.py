@@ -16,13 +16,13 @@ One instantiation evaluates that expression at (n, m, r), and both the
 evaluator and the instantiated display read its ints.  The reduced
 spectrum is computed only for a case with a per-eigenvalue factor.
 
-The numerator N (all factors but the negative powers) has |coefficients| at most
-the product of its factors' l1 norms, which is submultiplicative: norm1(prefactor),
-(1 + |root|)^e, norm1(f) * (|a| + |b|)^n and exactpoly.eig_bound.  With K the bound's
-bit length plus a sign bit, the one integer N(2^K), its eigen product one resultant
-over Z, fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen
-and Gerhard, Modern Computer Algebra, 8.4).  Above _KRONECKER_MAX_BITS the factors
-are multiplied as polynomials.  Both routes end in the same exact division.
+The numerator N (all factors but the negative powers) has |coefficients| at most the product
+of its factors' l1 norms, which is submultiplicative: norm1(prefactor), (1 + |root|)^e,
+norm1(f) * (|a| + |b|)^n and _eig_bound.  With K the bound's bit length plus a sign bit, the
+one integer N(2^K), taken on the instantiation's ints (its eigen product one resultant over
+Z), fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen and Gerhard,
+Modern Computer Algebra, 8.4).  Above _KRONECKER_MAX_BITS the factors are multiplied as
+polynomials.  Both routes then divide exactly by the negative powers.
 
 A descriptor's status is read off its record: one that retains a
 published form is "corrected", as it deviates from the catalog it
@@ -44,12 +44,14 @@ from .exactpoly import (
     BiPoly,
     DegreeMismatch,
     IntPoly,
+    _horner,
+    _int_div,
     _intpoly,
     _poly,
+    _subresultant,
+    _trim,
     compose_linear,
-    eig_bound,
     eig_product,
-    eig_value,
     exact_div,
     reduced_qpoly,
     signed_digits,
@@ -365,22 +367,29 @@ def _compiled(desc: FormulaDescriptor):
     return compile(str(parts).replace("'", ""), f"<descriptor {desc.case}>", "eval")
 
 
-def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
-    """The descriptor with (n, m, r) bound: (sign, prefactor, linear, g, composed).
-
-    sign is +1 or -1, the prefactor an IntPoly in lam, linear the (root,
-    exponent) pairs and composed the (a, b) pairs as ints, and g the
-    per-eigenvalue factor as a BiPoly in (lam, q), or None.  An n, m or r
-    that operator.index refuses raises TypeError, naming it.
-    """
+def _evaluate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
+    """_compiled(desc) run at (n, m, r): ints and lists of ints.  An n, m or r that
+    operator.index refuses raises TypeError, naming it."""
     env = {}
     for name, value in zip("nmr", (n, m, r)):
         try:
             env[name] = index(value)
         except TypeError:
             raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
-    sign, pre, linear, g, composed = eval(_compiled(desc), {"__builtins__": {}}, env)
+    return eval(_compiled(desc), {"__builtins__": {}}, env)
+
+
+def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
+    """_evaluate's tuple with the prefactor an IntPoly in lam and g a BiPoly in (lam, q), or None."""
+    sign, pre, linear, g, composed = _evaluate(desc, n, m, r)
     return sign, _intpoly(pre), linear, g if g is None else _poly(BiPoly, [_intpoly(c) for c in g]), composed
+
+
+def _eig_bound(p: IntPoly, g: list) -> int:
+    """A bound on norm1(eig_product(p, g)) for g's q-columns, the Sylvester determinant's: each term
+    takes one entry a_ij of each row, so norm1(det) <= prod_i sum_j norm1(a_ij), over len(g) - 1 rows
+    of p's coefficients and deg(p) rows of g's q-columns (p is monic: a zero last column loosens it)."""
+    return p.norm1 ** (len(g) - 1) * sum(abs(c) for column in g for c in column) ** p.degree
 
 
 # Above this K, padding coefficients to K bits costs more than polynomial products (CPython
@@ -402,7 +411,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     lam = 2^K, above the bound and so above norm1(lc_q(g)), a Cauchy bound on
     the roots of lc_q(g), the eigen factor keeps its degree in q.
     """
-    sign, num, linear, g, composed = _instantiate(desc, n, m, r)
+    sign, pre, linear, g, composed = _evaluate(desc, n, m, r)
     if m < 1:
         raise ValueError("formula_charpoly: m must be >= 1")
     if 2 * m != r * n:
@@ -411,30 +420,38 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         raise ValueError("formula_charpoly: f must be monic of degree n")
     if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
         raise ValueError("formula_charpoly: f must have the root 2r")
-    num = num if sign > 0 else -num
-    p = None if g is None else reduced_qpoly(f, r)
     rises = [(root, e) for root, e in linear if e > 0]
-    den = prod((IntPoly.linear_root(root) ** -e for root, e in linear if e < 0), start=IntPoly.one())
-    bound = num.norm1 * prod((1 + abs(root)) ** e for root, e in rises)
-    bound *= prod(f.norm1 * (abs(a) + abs(b)) ** n for a, b in composed)
-    k = (bound if p is None else bound * eig_bound(p, g)).bit_length() + 1  # with a sign bit
+    bound = sum(map(abs, pre))
+    for root, e in rises:
+        bound *= (1 + abs(root)) ** e
+    for a, b in composed:
+        bound *= f.norm1 * (abs(a) + abs(b)) ** n
+    p = None if g is None else reduced_qpoly(f, r)
+    k = (bound if p is None else bound * _eig_bound(p, g)).bit_length() + 1  # with a sign bit
     if k <= _KRONECKER_MAX_BITS:
         x = 1 << k
-        v = num(x) * prod((x - root) ** e for root, e in rises) * prod(f(a * x + b) for a, b in composed)
-        num = signed_digits(v if p is None else v * eig_value(p, g, x), k)
+        v = sign * _horner(pre, x)
+        for root, e in rises:
+            v *= (x - root) ** e
+        for a, b in composed:
+            v *= f(a * x + b)
+        if p is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q))
+            v *= _subresultant(p.coeffs, _trim([_horner(column, x) for column in g]), 1, _int_div)
+        num = signed_digits(v, k)
     else:
+        _, num, _, g, _ = _instantiate(desc, n, m, r)
+        num = sign * num
         for root, e in rises:
             num = num * IntPoly.linear_root(root) ** e
         if p is not None:
             num = num * eig_product(p, g)
         for a, b in composed:
             num = num * compose_linear(f, a, b)
-    result = exact_div(num, den)
-    if result.degree != n + m:
-        raise DegreeMismatch(
-            f"case {desc.case}: got degree {result.degree}, expected {n + m}"
-        )
-    return result
+    if den := [IntPoly.linear_root(root) ** -e for root, e in linear if e < 0]:
+        num = exact_div(num, prod(den, start=IntPoly.one()))
+    if num.degree != n + m:
+        raise DegreeMismatch(f"case {desc.case}: got degree {num.degree}, expected {n + m}")
+    return num
 
 
 # ----------------------------------------------------------------------------

@@ -64,20 +64,24 @@ class Graph:
 
     Graph(n, edges) coerces n and each endpoint with operator.index (TypeError
     otherwise) and stores edges, any iterable of pairs read once, as a tuple of
-    int pairs in input order, the canonical order.  Self-loops and duplicate
-    edges (in either orientation) raise GraphError subclasses.
+    int pairs in input order, the canonical order.  An edge that is not a pair,
+    self-loops and duplicate edges (in either orientation) raise GraphError
+    subclasses; a non-iterable edge raises TypeError.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n, edges = index(self.n), tuple((index(u), index(v)) for u, v in self.edges)
-        self.__dict__.update(n=n, edges=edges)  # frozen: set as _graph sets them
+        n, seen = index(self.n), {}  # seen: each edge by its unordered pair, in input order
         if n < 1:
             raise InvalidParameter(f"vertex count must be >= 1, got {_shown(n)}")
-        seen = set()
-        for u, v in edges:
+        for edge in self.edges:
+            try:
+                u, v = edge  # reads at most three items, however long edge is
+            except ValueError:
+                raise InvalidParameter(f"edge {_shown(edge)} is not a pair") from None
+            u, v = index(u), index(v)
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {_shown(u)}")
             if not (0 <= u < n and 0 <= v < n):
@@ -85,7 +89,8 @@ class Graph:
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise DuplicateEdge(f"duplicate edge ({_shown(u)},{_shown(v)})")
-            seen.add(key)
+            seen[key] = u, v
+        self.__dict__.update(n=n, edges=tuple(seen.values()))  # frozen: set as _graph sets them
 
     @property
     def m(self) -> int:

@@ -29,21 +29,21 @@ from xyzspectra.exactpoly import (
     BiPoly,
     IntPoly,
     NotDivisible,
+    _horner,
     _int_div,
     _subresultant,
+    _trim,
     charpoly,
     charpoly_pair,
     compose_linear,
     det,
-    eig_bound,
     eig_product,
-    eig_value,
     exact_div,
     reduced_qpoly,
     resultant,
     signed_digits,
 )
-from xyzspectra.formulas import list_cases
+from xyzspectra.formulas import _eig_bound, list_cases
 from xyzspectra.graph import Graph, circulant_graph, complement, complete_graph, cycle_graph, petersen_graph
 from xyzspectra.linalg import IntMatrix, NotSquare, signless_laplacian
 from xyzspectra.transform import XyzCase, xyz_transform
@@ -54,6 +54,17 @@ from helpers import from_roots
 def poly(*coeffs):
     """Ascending-coefficient literal."""
     return IntPoly(coeffs)
+
+
+def q_columns(g):
+    """g's coefficients of v^0, v^1, ... as lists of u-coefficients, each padded with a zero as
+    a compiled descriptor pads its columns to the factor's degree in lam."""
+    return [[*c.coeffs, 0] for c in g.coeffs]
+
+
+def deg_v(f):
+    """f's degree in its second variable: the v-coefficients it holds, less one."""
+    return len(f.coeffs) - 1
 
 
 def brute_charpoly(mat):
@@ -191,9 +202,9 @@ def sylvester_bi_resultant(a, b):
     a leading coefficient vanishing at x0 does not change the matrix shape."""
     def at(f, x0):
         return [sum(row[j] * x0 ** i for i, row in enumerate(f.grid) if j < len(row))
-                for j in range(f.deg_v + 1)]
+                for j in range(deg_v(f) + 1)]
 
-    bound = a.deg_u * b.deg_v + b.deg_u * a.deg_v
+    bound = a.deg_u * deg_v(b) + b.deg_u * deg_v(a)
     return integer_interpolate(
         [sylvester_resultant(at(a, x0), at(b, x0)) for x0 in range(bound + 1)]
     )
@@ -679,7 +690,7 @@ class TestKronecker:
         # p = v^2 + 3 gives deg_v(g) = 1 row of norm 4, g = u - v gives deg(p) = 2 rows of
         # norm 1 + 1: 4^1 * 2^2 = 16; Res = u^2 + 3, of norm 4
         p, g = poly(3, 0, 1), BiPoly.u() - BiPoly.v()
-        assert eig_bound(p, g) == 16
+        assert _eig_bound(p, q_columns(g)) == 16
         assert eig_product(p, g) == poly(3, 0, 1)
 
 
@@ -693,7 +704,7 @@ class TestBiPoly:
     def test_degrees(self):
         lam, q = BiPoly.u(), BiPoly.v()
         g = (lam - q) * (lam - q)
-        assert (g.deg_u, g.deg_v) == (2, 2)
+        assert (g.deg_u, deg_v(g)) == (2, 2)
 
     def test_int_mixing(self):
         assert 3 + BiPoly.u() == BiPoly.u() + 3
@@ -876,11 +887,11 @@ def lazy_scaling_pairs(draw):
 @given(lazy_scaling_pairs())
 def test_lazily_scaled_resultant_matches_sylvester_reference(pair):
     a, b = pair
-    lead = IntPoly([row[b.deg_v] if len(row) > b.deg_v else 0 for row in b.grid])
-    assert a.deg_v - b.deg_v >= 3 and lead.degree >= 1
+    lead = IntPoly([row[deg_v(b)] if len(row) > deg_v(b) else 0 for row in b.grid])
+    assert deg_v(a) - deg_v(b) >= 3 and lead.degree >= 1
     expected = sylvester_bi_resultant(a, b)
     assert resultant(a, b) == expected
-    assert resultant(b, a) == (-1) ** (a.deg_v * b.deg_v) * expected
+    assert resultant(b, a) == (-1) ** (deg_v(a) * deg_v(b)) * expected
 
 
 @st.composite
@@ -1093,5 +1104,7 @@ def test_subresultant_over_ints_matches_sylvester_reference(pair):
 def test_eig_value_is_eig_product_at_x(inputs, x):
     p, g = inputs
     expected = eig_product(p, g)
-    assert eig_value(p, g, x) == expected(x)
-    assert expected.norm1 <= eig_bound(p, g)
+    # formula_charpoly's value at lam = x: resultant's loop over Z on the q-columns at x
+    at_x = _trim([_horner(column, x) for column in q_columns(g)])
+    assert _subresultant(p.coeffs, at_x, 1, _int_div) == expected(x)
+    assert expected.norm1 <= _eig_bound(p, q_columns(g))

@@ -265,15 +265,19 @@ class TestFormulaCharpoly:
             oracle = fpoly(xyz_transform(g, c))
             assert formula == oracle, f"case {c} fails on the single edge"
 
-    def test_precondition_validation(self):
+    def test_precondition_validation(self, monkeypatch):
+        # each refusal by its whole message, alike on both routes, before either reads a digit
         f = fpoly(complete_graph(3))
         desc = descriptor_for(case("111"))
-        with pytest.raises(ValueError):
-            formula_charpoly(desc, 3, 4, 2, f)  # 2m != rn
-        with pytest.raises(ValueError):
-            formula_charpoly(desc, 4, 4, 2, f)  # degree of f is not n
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            formula_charpoly(desc, 3, 0, 0, IntPoly.x() ** 3)  # edgeless: 2m = rn holds at r = 0
+        calls = [
+            lambda: formula_charpoly(desc, 3, 4, 2, f),  # 2m != rn
+            lambda: formula_charpoly(desc, 4, 4, 2, f),  # degree of f is not n
+            lambda: formula_charpoly(desc, 3, 0, 0, IntPoly.x() ** 3),  # edgeless: 2m = rn holds at r = 0
+        ]
+        refusals = [(ValueError, "formula_charpoly: 2m = rn violated (n=3, m=4, r=2)"),
+                    (ValueError, "formula_charpoly: f must be monic of degree n"),
+                    (ValueError, "formula_charpoly: m must be >= 1")]
+        assert on_routes(monkeypatch, calls) == [refusals, 0, refusals, 0]
 
     def test_divides_only_by_a_nonconstant_denominator(self, monkeypatch):
         # on C5 (n = m = 5, r = 2) only the cases with a negative exponent have a

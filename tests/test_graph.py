@@ -74,9 +74,17 @@ class TestConstruction:
         assert hash(g) == hash(cycle_graph(4))
 
     def test_non_int_endpoints_rejected(self):
-        for bad in ((0.9, 1.7), (0, 1.0), ("0", 1), (0, None)):
+        # an edge that is not iterable at all (5, None, 0.5) raises TypeError too
+        for bad in ((0.9, 1.7), (0, 1.0), ("0", 1), (0, None), 5, None, 0.5):
             with pytest.raises(TypeError):
                 Graph(3, [bad])
+
+    def test_non_pair_edge_rejected(self):
+        # a GraphError quoting the edge, cut short however long it is
+        for bad, shown in (((0, 1, 2), r"\(0, 1, 2\)"), ((0,), r"\(0,\)"),
+                           (tuple(range(10**4)), r"\(0, 1, 2, .{30}\.\.\.")):
+            with pytest.raises(InvalidParameter, match=f"^edge {shown} is not a pair$"):
+                Graph(3, [(0, 1), bad])
 
     def test_non_int_vertex_count_rejected(self):
         for bad in (3.0, "3", None):
