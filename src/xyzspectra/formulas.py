@@ -18,11 +18,11 @@ spectrum is computed only for a case with a per-eigenvalue factor.
 
 The numerator N (all factors but the negative powers) has |coefficients| at most the product
 of its factors' l1 norms, which is submultiplicative: norm1(prefactor), (1 + |root|)^e,
-norm1(f) * (|a| + |b|)^n and _eig_bound.  With K the bound's bit length plus a sign bit, the
-one integer N(2^K), taken on the instantiation's ints (its eigen product one resultant over
-Z), fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen and Gerhard,
-Modern Computer Algebra, 8.4).  Above _KRONECKER_MAX_BITS the factors are multiplied as
-polynomials.  Both routes then divide exactly by the negative powers.
+norm1(f) * (|a| + |b|)^n and _eig_bound.  With K the bound's bit length plus a sign bit, N is
+evaluated once, on the instantiation's ints, at one point x: its eigen product is one resultant
+over the ring of x.  At x = 2^K the one integer N(2^K) fixes N by its signed base-2^K digits
+(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4); above
+_KRONECKER_MAX_BITS x is lam itself, over Z[lam].  N is then divided exactly by the negative powers.
 
 A descriptor's status is read off its record: one that retains a
 published form is "corrected", as it deviates from the catalog it
@@ -50,6 +50,7 @@ from .exactpoly import (
     _poly,
     _subresultant,
     _trim,
+    # these two have no caller here: bound for benchmarks/tracing.py until ROADMAP item 1 or 9 drops its wraps
     compose_linear,
     eig_product,
     exact_div,
@@ -392,11 +393,12 @@ def _eig_bound(p: IntPoly, g: list) -> int:
     return p.norm1 ** (len(g) - 1) * sum(abs(c) for column in g for c in column) ** p.degree
 
 
-# Above this K, padding coefficients to K bits costs more than polynomial products (CPython
-# has no FFT multiply).  Kronecker time over polynomial time, all 64 cases on the closed-form
-# seed-1 circulants, the ladder rungs, C30..C80, C60(1,2) and C100(1,2) (2-core x86-64, Python
-# 3.11), median (max) by K: 0.27 (0.64) below 128, 0.29 (0.93) to 255, 0.45 (1.29) to 383, 0.68
-# (1.75) to 511, 0.86 (1.52) to 639, 1.16 (2.03) to 767, 1.53 (5.20) to 1023, 2.14 (4.94) to 1535.
+# Above this K, padding coefficients to K bits costs more than polynomial products (CPython has
+# no FFT multiply), so the evaluation runs at lam itself.  Kronecker time over polynomial time (now
+# the same evaluation at lam), all 64 cases on the closed-form seed-1 circulants, the ladder rungs,
+# C30..C80, C60(1,2) and C100(1,2) (2-core x86-64, Python 3.11), median (max) by K: 0.27 (0.64)
+# below 128, 0.29 (0.93) to 255, 0.45 (1.29) to 383, 0.68 (1.75) to 511, 0.86 (1.52) to 639, 1.16
+# (2.03) to 767, 1.53 (5.20) to 1023, 2.14 (4.94) to 1535.
 _KRONECKER_MAX_BITS = 512
 
 
@@ -428,25 +430,17 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         bound *= f.norm1 * (abs(a) + abs(b)) ** n
     p = None if g is None else reduced_qpoly(f, r)
     k = (bound if p is None else bound * _eig_bound(p, g)).bit_length() + 1  # with a sign bit
-    if k <= _KRONECKER_MAX_BITS:
-        x = 1 << k
-        v = sign * _horner(pre, x)
-        for root, e in rises:
-            v *= (x - root) ** e
-        for a, b in composed:
-            v *= f(a * x + b)
-        if p is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q))
-            v *= _subresultant(p.coeffs, _trim([_horner(column, x) for column in g]), 1, _int_div)
-        num = signed_digits(v, k)
-    else:
-        _, num, _, g, _ = _instantiate(desc, n, m, r)
-        num = sign * num
-        for root, e in rises:
-            num = num * IntPoly.linear_root(root) ** e
-        if p is not None:
-            num = num * eig_product(p, g)
-        for a, b in composed:
-            num = num * compose_linear(f, a, b)
+    x, one, div = (1 << k, 1, _int_div) if k <= _KRONECKER_MAX_BITS else (IntPoly.x(), IntPoly.one(), exact_div)
+    num = sign * _horner(pre, x)
+    for root, e in rises:
+        num *= (x - root) ** e
+    if p is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q)); p's ints serve
+        # as constants, as the first pseudo-remainder writes ring elements, or ends the sequence (n = 2)
+        num *= _subresultant(p.coeffs, _trim([_horner(column, x) for column in g]), one, div)
+    for a, b in composed:
+        num *= f(a * x + b)
+    if one == 1:  # N(2^K), read back by its digits
+        num = signed_digits(num, k)
     if den := [IntPoly.linear_root(root) ** -e for root, e in linear if e < 0]:
         num = exact_div(num, prod(den, start=IntPoly.one()))
     if num.degree != n + m:

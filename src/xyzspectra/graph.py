@@ -114,9 +114,12 @@ def _graph(n: int, edges: tuple) -> Graph:
 
 
 def _shown(value) -> str:
-    """value as a message quotes it: at most 40 characters, "..." marking a cut, and an int
-    only below 10**100 (str() raises above 4300 digits), so no message grows with its input."""
-    text = "<int of over 100 digits>" if isinstance(value, int) and abs(value) >= 10**100 else str(value)
+    """value as a message quotes it: at most 40 characters, "..." marking a cut, and an int only below
+    10**100 (str() raises above 4300 digits, inside a container too), so no message grows with its input."""
+    try:
+        text = "<int of over 100 digits>" if isinstance(value, int) and abs(value) >= 10**100 else str(value)
+    except ValueError:  # a container holding an int of over 4300 digits
+        text = f"<{type(value).__name__} with an int of over 4300 digits>"
     return text if len(text) <= 40 else text[:40] + "..."
 
 

@@ -18,7 +18,7 @@ from xyzspectra.formulas import list_cases
 from xyzspectra.graph import Graph, complete_graph, format_edge_list, parse_edge_list
 from xyzspectra.linalg import signless_laplacian
 from xyzspectra.graph import cycle_graph
-from xyzspectra.transform import xyz_transform
+from xyzspectra.transform import XyzCase, xyz_transform
 from xyzspectra.verify import PreconditionViolated, default_corpus
 
 
@@ -459,6 +459,93 @@ class TestOutputFailures:
                 os.close(w)
             assert proc.stderr == b""
             assert proc.returncode == 141
+
+
+class TestWalkthrough:
+    """README's commands run as `python -m xyzspectra.cli` through real files: brute force
+    equals the closed form, and each refusal exits with its code and one stderr line."""
+
+    ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def run(self, *argv, timeout=120):
+        return subprocess.run([sys.executable, "-m", "xyzspectra.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=self.ENV, timeout=timeout)
+
+    def ok(self, *argv):
+        """A command that must exit 0 and write nothing to stderr: its stdout."""
+        proc = self.run(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    def first_line(self, text):
+        return text.splitlines(keepends=True)[0]
+
+    def passes(self, text):
+        return sum(line.startswith("PASS ") for line in text.splitlines())
+
+    def test_cycle_6(self, tmp_path):
+        c6, t, t0 = tmp_path / "c6.g", tmp_path / "t.g", tmp_path / "t-0-.g"
+        self.ok("gen", "cycle", "6", "--out", c6)
+        self.ok("transform", c6, "--case", "+++", "--out", t)
+        for matrix in "ALQ":
+            self.ok("charpoly", c6, "--matrix", matrix)
+        brute = self.ok("charpoly", t, "--matrix", "Q")
+        # a reader that stops after one line: exit 0, or 141 if the pipe closed first
+        argv = [sys.executable, "-m", "xyzspectra.cli", "formula", str(c6), "--case", "+++"]
+        pipe = subprocess.PIPE
+        with subprocess.Popen(argv, stdout=pipe, stderr=pipe, text=True, env=self.ENV) as proc:
+            closed = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode in (0, 141) and err == "", (proc.returncode, err)
+        assert closed == brute
+        assert self.passes(self.ok("verify", c6, "--all")) == 64
+        # a case that begins with - is passed as --case -0-, not only as --case=-0-
+        self.ok("transform", c6, "--case", "-0-", "--out", t0)
+        brute = self.ok("charpoly", t0)
+        assert self.first_line(self.ok("formula", c6, "--case", "-0-")) == brute
+        assert self.ok("verify", c6, "--case", "-1-") == "PASS -1-\n"
+
+    def test_complete_5(self, tmp_path):
+        # K5's complement part is edgeless, so -yz and 0yz are one graph and share one oracle
+        k5 = tmp_path / "k5.g"
+        self.ok("gen", "complete", "5", "--out", k5)
+        assert self.passes(self.ok("verify", k5, "--all")) == 64
+        assert self.ok("verify", k5, "--case", "-00") == "PASS -00\n"
+
+    def test_cycle_above_the_verify_limit(self, tmp_path):
+        # n + m = 2n just above cli.MAX_VERIFY_ORDER: verify refuses it at once with exit 2 and
+        # one stderr line; formula keeps only the header limit and runs
+        big, tbig, t111 = tmp_path / "big.g", tmp_path / "tbig.g", tmp_path / "t111.g"
+        self.ok("gen", "cycle", cli.MAX_VERIFY_ORDER // 2 + 1, "--out", big)
+        proc = self.run("verify", big, "--all", timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1), proc.stderr
+        # formula evaluates +++ at lam = 2^339 and 111 at lam itself (K = 682, above
+        # formulas._KRONECKER_MAX_BITS); each equals brute force.  111's transform is K102,
+        # whose header would declare n + m = 5253, above the limit every reader allows:
+        # transform refuses it unbuilt (exit 2, one stderr line, no file), so its oracle is
+        # taken through the library
+        self.ok("transform", big, "--case", "+++", "--out", tbig)
+        proc = self.run("transform", big, "--case", "111", "--out", t111)
+        assert (proc.returncode, t111.exists(), proc.stderr.count("\n")) == (2, False, 1), proc.stderr
+        k102 = xyz_transform(parse_edge_list(big.read_text(encoding="utf-8")), XyzCase.parse("111"))
+        brute = {"+++": self.ok("charpoly", tbig, "--matrix", "Q"),
+                 "111": charpoly(signless_laplacian(k102)).to_string() + "\n"}
+        for c in ("+++", "111"):
+            assert self.first_line(self.ok("formula", big, "--case", c)) == brute[c], c
+
+    @pytest.mark.parametrize("cmd", ["transform", "formula", "verify"])
+    def test_irregular_and_edgeless_refused(self, cmd, p3_file, e3_file):
+        # P3 is irregular (exit 3) and a 3 0 file edgeless (exit 2): each refusal writes one
+        # stderr line and nothing to stdout
+        for path, code in ((p3_file, 3), (e3_file, 2)):
+            proc = self.run(cmd, path, "--case", "+++")
+            assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (code, "", 1), proc.stderr
+
+    def test_corpus_summary(self, tmp_path):
+        # corpus writes its one summary line to stderr
+        proc = self.run("corpus", "--report", tmp_path / "report.json")
+        assert (proc.returncode, proc.stderr) == (0, "corpus: 1024/1024 matched\n")
 
 
 # ----------------------------------------------------------------------------

@@ -86,6 +86,17 @@ class TestConstruction:
             with pytest.raises(InvalidParameter, match=f"^edge {shown} is not a pair$"):
                 Graph(3, [(0, 1), bad])
 
+    def test_huge_int_in_a_quoted_container(self):
+        # str() of a container holding an int of over 4300 digits raises ValueError; the
+        # GraphError still comes, quoting the container by its type in at most 40 characters
+        huge, edge = 10**5000, "edge <tuple with an int of over 4300 digits> is not a pair"
+        for call, message in ((lambda: Graph(3, [(huge, 1, 2)]), edge), (lambda: Graph(3, [(huge,)]), edge),
+                              (lambda: circulant_graph(7, [huge, huge + 7]),
+                               "offsets <list with an int of over 4300 digits> collide mod 7")):
+            with pytest.raises(InvalidParameter) as info:
+                call()
+            assert str(info.value) == message
+
     def test_non_int_vertex_count_rejected(self):
         for bad in (3.0, "3", None):
             with pytest.raises(TypeError):
