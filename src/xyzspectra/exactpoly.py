@@ -462,13 +462,12 @@ def det(mat: IntMatrix) -> int:
     return (-1) ** mat.rows * charpoly(mat).coeffs[0]
 
 
-@lru_cache(maxsize=1)
 def reduced_qpoly(f: IntPoly, r: int) -> IntPoly:
     """Strip the known root 2r from a monic characteristic polynomial.
 
     For a connected r-regular graph the signless Laplacian has 2r as an
     eigenvalue; the quotient is monic of degree n-1 and carries the rest
-    of the spectrum.  The last (f, r) is cached, as each graph asks once per case.
+    of the spectrum.
     """
     if not f.is_monic:
         raise ValueError("reduced_qpoly: input must be monic")
@@ -503,12 +502,30 @@ def _int_div(a: int, b: int) -> int:
 
 
 def _subresultant(A, B, one, div):
-    """resultant's loop on the coefficient tuples A, B over the ring of one (1 or IntPoly.one())."""
+    """resultant's loop on the coefficient tuples A, B over the ring of one (1 or IntPoly.one()).
+
+    A short B takes no loop (von zur Gathen and Gerhard, Modern Computer Algebra, 6.3), m = deg A:
+    Res(A, b0 + b1 v) = (-1)^m b1^m A(-b0 / b1); for B = b0 + b1 v + s v^2, s = +-1, whose roots have
+    product s b0 and sum -s b1, A = u v + w mod B gives Res(A, B) = s^m (u^2 s b0 - u w s b1 + w^2).
+    """
     if not A or not B:
         raise ValueError("resultant of the zero polynomial")
     sign = -1 if len(A) < len(B) and (len(A) - 1) * (len(B) - 1) % 2 else 1
     if len(A) < len(B):
         A, B = B, A
+    if len(B) == 2:  # b1^m A(t / b1), t = -b0, by Horner's rule: a_j takes power = b1^(m-j)
+        t, res, power = -B[0], A[-1], one
+        for a in reversed(A[:-1]):
+            power *= B[1]
+            res = res * t + a * power
+        return res if sign * (-1) ** (len(A) - 1) > 0 else -res
+    if len(B) == 3 and B[2] * B[2] == one:
+        s = 1 if B[2] == one else -1
+        b0, b1, u, w = s * B[0], s * B[1], A[-1], A[-2]
+        for a in reversed(A[:-2]):  # (u v + w) v + a = (w - b1 u) v + a - b0 u mod v^2 + b1 v + b0
+            u, w = w - b1 * u, a - b0 * u
+        res = u * u * b0 - u * w * b1 + w * w
+        return res if sign * s ** (len(A) - 1) > 0 else -res
     g = h = one
     delta = 0  # h owes the update h <- g^delta / h^(delta-1) until something reads it
     while len(B) > 1:

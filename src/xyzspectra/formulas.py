@@ -13,16 +13,19 @@ token, expands them into coefficient grids whose entries are integer
 polynomials in (n, m, r), compiled into one expression with no builtins
 bound; so every check of a polynomial also checks its printed formula.
 One instantiation evaluates that expression at (n, m, r), and both the
-evaluator and the instantiated display read its ints.  The reduced
-spectrum is computed only for a case with a per-eigenvalue factor.
+evaluator and the instantiated display read its ints.  The check that f has the root 2r,
+its reduced polynomial p, f = (lam - 2r) p, and their l1 norms are computed once per graph.
 
-The numerator N (all factors but the negative powers) has |coefficients| at most the product
-of its factors' l1 norms, which is submultiplicative: norm1(prefactor), (1 + |root|)^e,
-norm1(f) * (|a| + |b|)^n and _eig_bound.  With K the bound's bit length plus a sign bit, N is
-evaluated once, on the instantiation's ints, at one point x: its eigen product is one resultant
-over the ring of x.  At x = 2^K the one integer N(2^K) fixes N by its signed base-2^K digits
-(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4); above
-_KRONECKER_MAX_BITS x is lam itself, over Z[lam].  N is then divided exactly by the negative powers.
+A composed copy f(a*lam + b), a = +-1, is a (lam - a(2r - b)) p(a*lam + b), so one power of a
+negative-exponent factor at the root a(2r - b) cancels against it, leaving a p(a*lam + b); for r >= 2
+every negative power cancels so.  The numerator N (the factors, less the negative powers left) has
+|coefficients| at most the product of its factors' l1 norms, which is submultiplicative:
+norm1(prefactor), (1 + |root|)^e, norm1(f) (|a| + |b|)^n or norm1(p) (|a| + |b|)^(n-1), and _eig_bound.
+With K the bound's bit length plus a sign bit, N is evaluated once, on the instantiation's ints, at
+one point x: its eigen product is one resultant over the ring of x.  At x = 2^K the one integer N(2^K)
+fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4); above _KRONECKER_MAX_BITS x is lam itself, over Z[lam].  N is then divided
+exactly by the negative powers left, as r = 1's (lam - root)^(m - n), in the cases that have one.
 
 A descriptor's status is read off its record: one that retains a
 published form is "corrected", as it deviates from the catalog it
@@ -402,12 +405,23 @@ def _eig_bound(p: IntPoly, g: list) -> int:
 _KRONECKER_MAX_BITS = 512
 
 
+@functools.lru_cache(maxsize=1)
+def _base(f: IntPoly, r: int) -> tuple:
+    """(norm1(f), p, norm1(p)) for f = (lam - 2r) p.  The last (f, r) is kept, as each graph asks
+    once per case; a raise is not kept, so an f without the root 2r raises on every call."""
+    if f(2 * r):  # named here, as reduced_qpoly's NotDivisible names no cause
+        raise ValueError("formula_charpoly: f must have the root 2r")
+    p = reduced_qpoly(f, r)
+    return f.norm1, p, p.norm1
+
+
 def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly) -> IntPoly:
     """Evaluate one descriptor to an exact polynomial of degree n + m.
 
     Inputs: the vertex count n, edge count m, degree r (with 2m = rn) and
     the monic degree-n characteristic polynomial f of the base graph's
-    signless Laplacian.  Negative-exponent linear factors accumulate in a
+    signless Laplacian.  A composed copy of f cancels one negative power at its
+    root (see the module docstring); the negative powers left over make a
     denominator that must divide out exactly at the end; failure to divide
     (or a wrong final degree) signals a bad descriptor or bad input.  At
     lam = 2^K, above the bound and so above norm1(lc_q(g)), a Cauchy bound on
@@ -420,29 +434,39 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         raise ValueError(f"formula_charpoly: 2m = rn violated (n={n}, m={m}, r={r})")
     if not f.is_monic or f.degree != n:
         raise ValueError("formula_charpoly: f must be monic of degree n")
-    if f(2 * r):  # checked here, as the cases without an eigen factor never divide by x - 2r
-        raise ValueError("formula_charpoly: f must have the root 2r")
+    f_norm, p, p_norm = _base(f, r)
+    den = {}  # root: the power of lam - root left to divide by
+    for root, e in linear:
+        if e < 0:
+            den[root] = den.get(root, 0) - e
     rises = [(root, e) for root, e in linear if e > 0]
     bound = sum(map(abs, pre))
     for root, e in rises:
         bound *= (1 + abs(root)) ** e
+    copies = []  # (a, b, h) for N's factor h(a*lam + b): f, or p where it cancels
     for a, b in composed:
-        bound *= f.norm1 * (abs(a) + abs(b)) ** n
-    p = None if g is None else reduced_qpoly(f, r)
-    k = (bound if p is None else bound * _eig_bound(p, g)).bit_length() + 1  # with a sign bit
+        if a in (1, -1) and den.get(root := a * (2 * r - b)):  # see the module docstring
+            den[root] -= 1
+            sign *= a
+            copies.append((a, b, p))
+            bound *= p_norm * (abs(a) + abs(b)) ** (n - 1)
+        else:
+            copies.append((a, b, f))
+            bound *= f_norm * (abs(a) + abs(b)) ** n
+    k = (bound if g is None else bound * _eig_bound(p, g)).bit_length() + 1  # with a sign bit
     x, one, div = (1 << k, 1, _int_div) if k <= _KRONECKER_MAX_BITS else (IntPoly.x(), IntPoly.one(), exact_div)
     num = sign * _horner(pre, x)
     for root, e in rises:
         num *= (x - root) ** e
-    if p is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q)); p's ints serve
-        # as constants, as the first pseudo-remainder writes ring elements, or ends the sequence (n = 2)
+    if g is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q)), p's ints
+        # serving as the ring's constants
         num *= _subresultant(p.coeffs, _trim([_horner(column, x) for column in g]), one, div)
-    for a, b in composed:
-        num *= f(a * x + b)
+    for a, b, h in copies:
+        num *= h(a * x + b)
     if one == 1:  # N(2^K), read back by its digits
         num = signed_digits(num, k)
-    if den := [IntPoly.linear_root(root) ** -e for root, e in linear if e < 0]:
-        num = exact_div(num, prod(den, start=IntPoly.one()))
+    if left := [IntPoly.linear_root(root) ** e for root, e in den.items() if e]:
+        num = exact_div(num, prod(left, start=IntPoly.one()))
     if num.degree != n + m:
         raise DegreeMismatch(f"case {desc.case}: got degree {num.degree}, expected {n + m}")
     return num

@@ -1098,6 +1098,53 @@ def test_subresultant_over_ints_matches_sylvester_reference(pair):
     assert _subresultant(tuple(a), tuple(b), 1, _int_div) == sylvester_resultant(a, b)
 
 
+def no_division(a, b):
+    raise AssertionError("the short B took the remainder loop")
+
+
+@st.composite
+def short_second_operands(draw, coefficient, leads):
+    """(A, B, short) with deg B 1 or 2, lc(B) drawn from leads, deg A from deg B to 6 and any
+    nonzero lc(A); short says _subresultant(A, B) skips its loop: B linear, or lc(B) = +-1."""
+    def operand(degree, lead):
+        return [draw(coefficient) for _ in range(degree)] + [lead]
+
+    b = operand(draw(st.integers(1, 2)), draw(st.sampled_from(leads)))
+    a = operand(draw(st.integers(len(b) - 1, 6)), draw(coefficient.filter(bool)))
+    return a, b, len(b) == 2 or leads.index(b[-1]) < 2
+
+
+@seed(19670110)
+@settings(max_examples=250, deadline=None)
+@given(short_second_operands(st.integers(-9, 9), [1, -1, 2, -3]))
+def test_short_second_operand_over_ints_matches_sylvester_reference(operands):
+    # Res(A, B) for a linear B, or a quadratic B with lc +-1, by the closed forms in
+    # _subresultant's docstring, which no division reaches; a non-unit lc takes the loop
+    a, b, short = operands
+    expected = sylvester_resultant(a, b)
+    assert _subresultant(tuple(a), tuple(b), 1, no_division if short else _int_div) == expected
+    assert _subresultant(tuple(b), tuple(a), 1, _int_div) == sylvester_resultant(b, a)
+
+
+@seed(19670111)
+@settings(max_examples=150, deadline=None)
+@given(short_second_operands(st.lists(st.integers(-4, 4), max_size=3).map(IntPoly),
+                             [IntPoly.one(), -IntPoly.one(), IntPoly((2,)), IntPoly((1, 1))]))
+def test_short_second_operand_over_bivariates_matches_sylvester_reference(operands):
+    # the same over Z[u], where lc(B) = 2 and 1 + u are the non-units
+    a, b, short = operands
+
+    def bipoly(columns):
+        return BiPoly([[c.coeffs[i] if i < len(c.coeffs) else 0 for c in columns]
+                       for i in range(max(len(c.coeffs) for c in columns))])
+
+    a, b = bipoly(a), bipoly(b)
+    expected = sylvester_bi_resultant(a, b)
+    assert _subresultant(a.coeffs, b.coeffs, IntPoly.one(), no_division if short else exact_div) == expected
+    assert resultant(a, b) == expected
+    assert resultant(b, a) == sylvester_bi_resultant(b, a)
+
+
 @seed(19670107)
 @settings(max_examples=150, deadline=None)
 @given(eig_product_inputs(), st.one_of(st.integers(-40, 40), st.integers(2**60, 2**200)))

@@ -180,6 +180,26 @@ class TestDescriptors:
                     deg += (n - 1) * g.deg_u
                 assert deg == n + m, f"case {c}: degree budget {deg} != {n + m}"
 
+    def test_composed_copies_cancel_every_negative_power_from_r_2(self):
+        # f = (lam - 2r) p, so f(a lam + b) holds lam - root when a*root + b = 2r.  For r >= 2,
+        # m = rn/2 >= n, and the negative exponents are the literal -1s alone; each one's root
+        # is sent to 2r by exactly one composed term, its own, of slope a = +-1 (the copies that
+        # formula_charpoly cancels), as an identity in (n, m, r)
+        samples = [{"n": n, "m": r * n // 2, "r": r} for r in range(2, 8) for n in range(r + 1, 16)
+                   if r * n % 2 == 0]
+        powers = 0
+        for c in list_cases():
+            desc = descriptor_for(c)
+            roots = [root for root, e in desc.linear_factors if any(evaluate(e, env) < 0 for env in samples)]
+            assert all(e == "-1" for root, e in desc.linear_factors if root in roots), c
+            hits = [[(a, b) for a, b in desc.composed_terms if a in (1, -1)
+                     and formulas._grid(f"{a}*({root}) + ({b}) - 2*r", ("n", "m", "r")) == [["0"]]]
+                    for root in roots]
+            assert all(len(hit) == 1 for hit in hits), c
+            assert len({hit[0] for hit in hits}) == len(hits), c
+            powers += len(roots)
+        assert powers == 8  # x = -: -00, -10, -+0, --0; y = -: 0-0, 1-0, +-0, --0
+
     def test_every_table_descriptor_compiles(self):
         # each descriptor's grids are derived on first use; a bad table text fails here
         for c in list_cases():
@@ -280,32 +300,50 @@ class TestFormulaCharpoly:
         assert on_routes(monkeypatch, calls) == [refusals, 0, refusals, 0]
 
     def test_divides_only_by_a_nonconstant_denominator(self, monkeypatch):
-        # on C5 (n = m = 5, r = 2) only the cases with a negative exponent have a
-        # nonconstant denominator; the other 57 divide by 1, which returns the numerator
-        # (checked on the polynomial route; both routes build the same denominator)
-        monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", POLYNOMIAL)
-        g = cycle_graph(5)
+        # a composed copy f(a lam + b) = a (lam - a(2r - b)) p(a lam + b) takes one negative
+        # power at its root: on C5 (n = m = 5, r = 2) 7 cases have one and none is left to
+        # divide by; at r = 1 (K2, 3K2) the 48 cases with a factor (lam - root)^(m - n) divide
+        # and no other, on both routes alike, each equal to the brute force
+        graphs = [cycle_graph(5), *regression_corpus()[:2]]
         env = {"n": 5, "m": 5, "r": 2}
         negative = {str(c) for c in list_cases()
                     if any(evaluate(e, env) < 0 for _, e in descriptor_for(c).linear_factors)}
         assert len(negative) == 7
+        left = {str(c) for c in list_cases() if any(e == "m - n" for _, e in descriptor_for(c).linear_factors)}
+        assert len(left) == 48
         divided, plain_div = [], formulas.exact_div
 
         def counting(num, den):
-            if den.degree > 0:
-                divided.append(current)
+            divided.append(den.degree > 0)
             return plain_div(num, den)
 
         monkeypatch.setattr(formulas, "exact_div", counting)
-        for current in map(str, list_cases()):
-            assert run_formula(g, current) == fpoly(xyz_transform(g, case(current)))
-        assert sorted(divided) == sorted(negative)
+
+        def call(g, c, oracle):
+            def run():
+                divided.clear()
+                return run_formula(g, c) == oracle, any(divided)
+            return run
+
+        calls = [call(g, str(c), fpoly(xyz_transform(g, c))) for g in graphs for c in list_cases()]
+        polynomial, _, kronecker, _ = on_routes(monkeypatch, calls)
+        assert polynomial == kronecker
+        assert all(match for match, _ in polynomial)
+        cases = [str(c) for c in list_cases()]
+        for i, expected in enumerate((set(), left, left)):
+            assert {c for c, (_, div) in zip(cases, polynomial[64 * i:64 * (i + 1)]) if div} == expected
+
+    def test_only_a_unit_slope_copy_cancels(self):
+        # on K3 (r = 2) f(2 lam) = (2 lam - 4) p(2 lam) holds lam - 2, not lam - a(2r - b) = lam - 8,
+        # so a power of lam - 8 is left to divide by, and does not divide
+        desc = replace(descriptor_for(case("+00")), linear_factors=(("8", "-1"),), composed_terms=((2, "0"),))
+        with pytest.raises(NotDivisible):
+            formula_charpoly(desc, 3, 3, 2, fpoly(complete_graph(3)))
 
     def test_skips_zero_exponent_factors(self, monkeypatch):
         # on C5 (n = m = 5, r = 2) 48 linear factors over the 64 cases have exponent 0,
-        # each a product by (lam - root)**0 = 1, and resultant's remainder sequences end
-        # at d = 1 in 42 of them, a division by h**0 = 1; no power of 0 is taken anywhere
-        # on the polynomial route, the one that raises IntPoly to powers
+        # each a product by (lam - root)**0 = 1; no power of 0 is taken anywhere on the
+        # polynomial route, the one that raises IntPoly to powers
         monkeypatch.setattr(formulas, "_KRONECKER_MAX_BITS", POLYNOMIAL)
         g = cycle_graph(5)
         env = {"n": 5, "m": 5, "r": 2}
@@ -330,6 +368,20 @@ class TestFormulaCharpoly:
         for c in ("000", "+++"):
             with pytest.raises(ValueError):
                 formula_charpoly(descriptor_for(case(c)), 3, 3, 2, IntPoly([0, 0, 0, 1]))
+
+    def test_base_checks_every_new_f(self, monkeypatch):
+        # _base keeps the last (f, r) and never a raise: after a good call on C4, an f of the
+        # same n = 4 and r = 2 without the root 4, and a non-monic one, raise their messages
+        # on every call, on both routes, and f is taken again after them
+        g = cycle_graph(4)
+        f, desc = fpoly(g), descriptor_for(case("+++"))
+        calls = [lambda h=h: formula_charpoly(desc, 4, 4, 2, h)
+                 for h in (f, IntPoly.x() ** 4, IntPoly.x() ** 4, 2 * f, 2 * f, f)]
+        good = fpoly(xyz_transform(g, case("+++")))
+        rootless = (ValueError, "formula_charpoly: f must have the root 2r")
+        non_monic = (ValueError, "formula_charpoly: f must be monic of degree n")
+        expected = [good, rootless, rootless, non_monic, non_monic, good]
+        assert on_routes(monkeypatch, calls) == [expected, 0, expected, 2]
 
     def test_non_int_arguments_refused_by_name(self):
         # one TypeError naming the argument, before any arithmetic, in every case;
@@ -400,7 +452,7 @@ class TestRoutes:
 
     def test_reduced_qpoly_once_per_graph(self, monkeypatch):
         # the eigen-factor cases share one reduced polynomial per (f, r)
-        exactpoly.reduced_qpoly.cache_clear()
+        formulas._base.cache_clear()
         divisions, plain = [], exactpoly.exact_div
         monkeypatch.setattr(exactpoly, "exact_div", lambda a, b: divisions.append(b) or plain(a, b))
         for call in all_cases(petersen_graph()):
