@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic over the integers.
 
 The computational kernel: integer univariate and bivariate polynomials, characteristic polynomials
-and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's bound, e prime), and
+and determinants of integer matrices (modulo one 2^e - 1 above Hadamard's bound, e prime),
 products of a bivariate factor over the roots of a monic polynomial (one resultant over Z[x], whose
-loop also runs over Z on sequences of ints).  One ring arithmetic serves both polynomial classes:
+loop also runs over Z on sequences of ints), and the square-free parts of a monic polynomial (Yun's
+algorithm on primitive remainder sequences, over Z).  One ring arithmetic serves both polynomial classes:
 IntPoly is a polynomial over Z, and BiPoly a polynomial in the second variable over IntPoly in the
 first, the layout the resultant in the second variable reads.  No floating point; every result is
 exact by a proven bound.  charpoly_pair takes a graph's Q and its complement's at once.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import lru_cache, partial
 from itertools import count
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import index, mul
 
 from .graph import Graph
@@ -501,6 +502,19 @@ def _int_div(a: int, b: int) -> int:
     return quot
 
 
+def _prem(A, B, one) -> tuple:
+    """prem(A, B) = c^(deg A - deg B + 1) A mod B, c = lc(B), on coefficient sequences over the ring of
+    one, trimmed.  Each entry is scaled only when written: the top is as the step before wrote it,
+    entries above k gain one c since then, k gets ck = c^step."""
+    r, c, ck, n = list(A), B[-1], one, len(B) - 1
+    for k in range(len(A) - len(B), -1, -1):
+        top, ck = r[k + n], ck * c
+        r[k] = r[k] * ck - top * B[0]
+        for i in range(1, n):
+            r[k + i] = r[k + i] * c - top * B[i]
+    return _trim(r[:n])
+
+
 def _subresultant(A, B, one, div):
     """resultant's loop on the coefficient tuples A, B over the ring of one (1 or IntPoly.one()).
 
@@ -535,16 +549,7 @@ def _subresultant(A, B, one, div):
         if m * n % 2:
             sign = -sign
         c, delta = B[-1], m - n
-        # prem(A, B) = c^(delta+1) A mod B, each entry scaled only when written: the top is as
-        # the step before wrote it, entries above k gain one c since then, k gets ck = c^step.
-        r, ck = list(A), one
-        for k in range(delta, -1, -1):
-            top, ck = r[k + n], ck * c
-            r[k] = r[k] * ck - top * B[0]
-            for i in range(1, n):
-                r[k + i] = r[k + i] * c - top * B[i]
-        r = _trim(r[:n])
-        if not r:
+        if not (r := _prem(A, B, one)):
             return 0 * one
         scale = g * h ** delta
         A, B, g = B, [div(t, scale) for t in r], c
@@ -568,6 +573,33 @@ def eig_product(p: IntPoly, g: BiPoly) -> IntPoly:
     if not g:
         raise ValueError("eig_product: g must be nonzero")
     return resultant(_poly(BiPoly, [_intpoly([c]) for c in p.coeffs]), g)
+
+
+def _squarefree(p: IntPoly) -> tuple:
+    """((h's coefficients, k), ...), k ascending, with p = prod h^k, the h monic, square-free, nonconstant
+    and pairwise coprime: Yun's algorithm (von zur Gathen and Gerhard, Modern Computer Algebra, 14.6) for
+    a monic p.  Each gcd has a monic argument, so its monic form has integer coefficients (Gauss's
+    lemma): the last term of a primitive remainder sequence, with a positive leading coefficient."""
+    def monic_gcd(a, b):
+        a, b = a.coeffs, b.coeffs
+        while b:
+            content = gcd(*b) if b[-1] > 0 else -gcd(*b)
+            b = tuple(_int_div(c, content) for c in b)  # primitive, with a positive leading coefficient
+            a, b = b, _prem(a, b, 1)
+        return _intpoly(list(a))
+
+    def deriv(a):
+        return _intpoly([i * c for i, c in enumerate(a.coeffs)][1:])
+
+    a = monic_gcd(p, dp := deriv(p))
+    b, c, parts = exact_div(p, a), exact_div(dp, a), []
+    for k in count(1):
+        if b.degree < 1:
+            return tuple(parts)
+        h = monic_gcd(b, d := c - deriv(b))
+        b, c = exact_div(b, h), exact_div(d, h)
+        if h.degree:
+            parts.append((h.coeffs, k))
 
 
 def signed_digits(v: int, k: int) -> IntPoly:

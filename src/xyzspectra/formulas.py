@@ -14,7 +14,8 @@ polynomials in (n, m, r), compiled into one expression with no builtins
 bound; so every check of a polynomial also checks its printed formula.
 One instantiation evaluates that expression at (n, m, r), and both the
 evaluator and the instantiated display read its ints.  The check that f has the root 2r,
-its reduced polynomial p, f = (lam - 2r) p, and their l1 norms are computed once per graph.
+its reduced polynomial p, f = (lam - 2r) p, their l1 norms and p's square-free parts p = prod_k
+h_k^k are computed once per graph; a case reads p only through the h_k.
 
 A composed copy f(a*lam + b), a = +-1, is a (lam - a(2r - b)) p(a*lam + b), so one power of a
 negative-exponent factor at the root a(2r - b) cancels against it, leaving a p(a*lam + b); for r >= 2
@@ -22,10 +23,12 @@ every negative power cancels so.  The numerator N (the factors, less the negativ
 |coefficients| at most the product of its factors' l1 norms, which is submultiplicative:
 norm1(prefactor), (1 + |root|)^e, norm1(f) (|a| + |b|)^n or norm1(p) (|a| + |b|)^(n-1), and _eig_bound.
 With K the bound's bit length plus a sign bit, N is evaluated once, on the instantiation's ints, at
-one point x: its eigen product is one resultant over the ring of x.  At x = 2^K the one integer N(2^K)
-fixes N by its signed base-2^K digits (Kronecker substitution; von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4); above _KRONECKER_MAX_BITS x is lam itself, over Z[lam].  N is then divided
-exactly by the negative powers left, as r = 1's (lam - root)^(m - n), in the cases that have one.
+one point x: its eigen product Res(p, g) is prod_k Res(h_k, g)^k, a resultant over the ring of x per
+part, and a copy of p(y) is prod_k h_k(y)^k; regular graphs repeat Q-eigenvalues (q_j = q_(n-j) on a
+circulant), so the parts are short.  At x = 2^K the one integer N(2^K) fixes N by its signed base-2^K
+digits (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4); above
+_KRONECKER_MAX_BITS x is lam itself, over Z[lam].  N is then divided exactly by the negative powers
+left, as r = 1's (lam - root)^(m - n), in the cases that have one.
 
 A descriptor's status is read off its record: one that retains a
 published form is "corrected", as it deviates from the catalog it
@@ -51,6 +54,7 @@ from .exactpoly import (
     _int_div,
     _intpoly,
     _poly,
+    _squarefree,
     _subresultant,
     _trim,
     # these two have no caller here: bound for benchmarks/tracing.py until ROADMAP item 1 or 9 drops its wraps
@@ -389,11 +393,11 @@ def _instantiate(desc: FormulaDescriptor, n: int, m: int, r: int) -> tuple:
     return sign, _intpoly(pre), linear, g if g is None else _poly(BiPoly, [_intpoly(c) for c in g]), composed
 
 
-def _eig_bound(p: IntPoly, g: list) -> int:
+def _eig_bound(p_norm: int, p_degree: int, g: list) -> int:
     """A bound on norm1(eig_product(p, g)) for g's q-columns, the Sylvester determinant's: each term
     takes one entry a_ij of each row, so norm1(det) <= prod_i sum_j norm1(a_ij), over len(g) - 1 rows
     of p's coefficients and deg(p) rows of g's q-columns (p is monic: a zero last column loosens it)."""
-    return p.norm1 ** (len(g) - 1) * sum(abs(c) for column in g for c in column) ** p.degree
+    return p_norm ** (len(g) - 1) * sum(abs(c) for column in g for c in column) ** p_degree
 
 
 # Above this K, padding coefficients to K bits costs more than polynomial products (CPython has
@@ -407,12 +411,12 @@ _KRONECKER_MAX_BITS = 512
 
 @functools.lru_cache(maxsize=1)
 def _base(f: IntPoly, r: int) -> tuple:
-    """(norm1(f), p, norm1(p)) for f = (lam - 2r) p.  The last (f, r) is kept, as each graph asks
-    once per case; a raise is not kept, so an f without the root 2r raises on every call."""
+    """(norm1(f), norm1(p), p's square-free parts) for f = (lam - 2r) p.  The last (f, r) is kept, as
+    each graph asks once per case; a raise is not kept, so an f without the root 2r raises on every call."""
     if f(2 * r):  # named here, as reduced_qpoly's NotDivisible names no cause
         raise ValueError("formula_charpoly: f must have the root 2r")
     p = reduced_qpoly(f, r)
-    return f.norm1, p, p.norm1
+    return f.norm1, p.norm1, _squarefree(p)
 
 
 def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly) -> IntPoly:
@@ -434,7 +438,7 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
         raise ValueError(f"formula_charpoly: 2m = rn violated (n={n}, m={m}, r={r})")
     if not f.is_monic or f.degree != n:
         raise ValueError("formula_charpoly: f must be monic of degree n")
-    f_norm, p, p_norm = _base(f, r)
+    f_norm, p_norm, parts = _base(f, r)
     den = {}  # root: the power of lam - root left to divide by
     for root, e in linear:
         if e < 0:
@@ -443,26 +447,28 @@ def formula_charpoly(desc: FormulaDescriptor, n: int, m: int, r: int, f: IntPoly
     bound = sum(map(abs, pre))
     for root, e in rises:
         bound *= (1 + abs(root)) ** e
-    copies = []  # (a, b, h) for N's factor h(a*lam + b): f, or p where it cancels
+    copies = []  # (a, b, full) for N's factor f(a*lam + b), or p(a*lam + b) where it cancels
     for a, b in composed:
         if a in (1, -1) and den.get(root := a * (2 * r - b)):  # see the module docstring
             den[root] -= 1
             sign *= a
-            copies.append((a, b, p))
+            copies.append((a, b, False))
             bound *= p_norm * (abs(a) + abs(b)) ** (n - 1)
         else:
-            copies.append((a, b, f))
+            copies.append((a, b, True))
             bound *= f_norm * (abs(a) + abs(b)) ** n
-    k = (bound if g is None else bound * _eig_bound(p, g)).bit_length() + 1  # with a sign bit
+    k = (bound if g is None else bound * _eig_bound(p_norm, n - 1, g)).bit_length() + 1  # with a sign bit
     x, one, div = (1 << k, 1, _int_div) if k <= _KRONECKER_MAX_BITS else (IntPoly.x(), IntPoly.one(), exact_div)
     num = sign * _horner(pre, x)
     for root, e in rises:
         num *= (x - root) ** e
-    if g is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q)), p's ints
-        # serving as the ring's constants
-        num *= _subresultant(p.coeffs, _trim([_horner(column, x) for column in g]), one, div)
-    for a, b, h in copies:
-        num *= h(a * x + b)
+    if g is not None:  # g(x, q) keeps its degree in q (see above): Res_q(p(q), g(x, q)) = prod_k
+        # Res_q(h_k(q), g(x, q))^k over p = prod_k h_k^k, the h_k's ints serving as the ring's constants
+        columns = _trim([_horner(column, x) for column in g])
+        num *= prod([_subresultant(h, columns, one, div) ** e for h, e in parts])
+    for a, b, full in copies:  # p(y) = prod_k h_k(y)^k, f(y) = (y - 2r) p(y)
+        y = a * x + b
+        num *= prod([_horner(h, y) ** e for h, e in parts], start=y - 2 * r if full else 1)
     if one == 1:  # N(2^K), read back by its digits
         num = signed_digits(num, k)
     if left := [IntPoly.linear_root(root) ** e for root, e in den.items() if e]:

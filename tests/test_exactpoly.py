@@ -31,6 +31,7 @@ from xyzspectra.exactpoly import (
     NotDivisible,
     _horner,
     _int_div,
+    _squarefree,
     _subresultant,
     _trim,
     charpoly,
@@ -690,7 +691,7 @@ class TestKronecker:
         # p = v^2 + 3 gives deg_v(g) = 1 row of norm 4, g = u - v gives deg(p) = 2 rows of
         # norm 1 + 1: 4^1 * 2^2 = 16; Res = u^2 + 3, of norm 4
         p, g = poly(3, 0, 1), BiPoly.u() - BiPoly.v()
-        assert _eig_bound(p, q_columns(g)) == 16
+        assert _eig_bound(p.norm1, p.degree, q_columns(g)) == 16
         assert eig_product(p, g) == poly(3, 0, 1)
 
 
@@ -805,6 +806,47 @@ def bipolys(draw):
 @given(bipolys(), bipolys())
 def test_resultant_matches_sylvester_reference(a, b):
     assert resultant(a, b) == sylvester_bi_resultant(a, b)
+
+
+@st.composite
+def factored_monics(draw):
+    """(p, its factors): p the product of one to three random monic factors of degree 1 or 2,
+    each to a power 1 to 3, deg p <= 8.  Factors may repeat or share roots."""
+    factors = draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                                      st.integers(1, 3)), min_size=1, max_size=3)
+                   .filter(lambda fs: sum(len(cs) * k for cs, k in fs) <= 8))
+    return prod((IntPoly([*cs, 1]) ** k for cs, k in factors), start=IntPoly.one()), factors
+
+
+@seed(19761001)
+@settings(max_examples=120, deadline=None)
+@given(factored_monics(), bipolys())
+@example((from_roots(1, 2, 3), None), BiPoly.u() - BiPoly.v())
+def test_squarefree_parts_rebuild_p_and_its_resultants(factored, g):
+    # p = prod h^k, each h monic and square-free, the h pairwise coprime with distinct k, and
+    # Res(p, g) = prod Res(h, g)^k over Z[lam] and over Z at lam = 2^64 (above every root of
+    # lc_q(g), whose coefficients are at most 5); a p with a nonzero discriminant is its own part
+    p, _ = factored
+    parts = _squarefree(p)
+    hs = [IntPoly(h) for h, _ in parts]
+    assert prod((h ** k for h, (_, k) in zip(hs, parts)), start=IntPoly.one()) == p
+    assert [k for _, k in parts] == sorted({k for _, k in parts})
+    for i, h in enumerate(hs):
+        assert h.is_monic and h.degree >= 1
+        derivative = [j * c for j, c in enumerate(h.coeffs)][1:]
+        assert sylvester_resultant(list(h.coeffs), derivative) != 0
+        assert all(sylvester_resultant(list(h.coeffs), list(other.coeffs)) != 0 for other in hs[i + 1:])
+    if sylvester_resultant(list(p.coeffs), [j * c for j, c in enumerate(p.coeffs)][1:]) != 0:
+        assert parts == ((p.coeffs, 1),)
+    expected = sylvester_bi_resultant(BiPoly((p.coeffs,)), g)
+    assert prod((resultant(BiPoly((h,)), g) ** k for h, k in parts), start=IntPoly.one()) == expected
+    x = 1 << 64
+    at_x = _trim([_horner(column, x) for column in q_columns(g)])
+    assert prod(_subresultant(h, at_x, 1, _int_div) ** k for h, k in parts) == expected(x)
+
+
+def test_squarefree_of_a_constant_is_empty():
+    assert _squarefree(IntPoly.one()) == ()
 
 
 small_coeffs = st.lists(st.integers(-3, 3), max_size=6)
@@ -1154,4 +1196,4 @@ def test_eig_value_is_eig_product_at_x(inputs, x):
     # formula_charpoly's value at lam = x: resultant's loop over Z on the q-columns at x
     at_x = _trim([_horner(column, x) for column in q_columns(g)])
     assert _subresultant(p.coeffs, at_x, 1, _int_div) == expected(x)
-    assert expected.norm1 <= _eig_bound(p, q_columns(g))
+    assert expected.norm1 <= _eig_bound(p.norm1, p.degree, q_columns(g))

@@ -27,6 +27,7 @@ from xyzspectra.formulas import (
 )
 from xyzspectra.graph import (
     Graph,
+    circulant_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -458,6 +459,54 @@ class TestRoutes:
         for call in all_cases(petersen_graph()):
             call()
         assert divisions.count(IntPoly.linear_root(6)) == 1
+
+    # N = n + m = 300, which no Tier-1 test reaches; the digests are of the 64 to_string() lines,
+    # joined by newlines, as the Kronecker and polynomial routes gave them before the square-free parts
+    @pytest.mark.slow
+    @pytest.mark.parametrize("g, digest", [
+        (circulant_graph(100, [1, 2]), "438bfb4c94ddb54b5560ede170db28ccbf08105a9831a4d20027723c14ec5beb"),
+        (cycle_graph(150), "2bda4ac085d55cd603e6ca81f937c44d8a2ac5b7e438dd227de1e3b480fa1c10"),
+    ], ids=["C100(1,2)", "C150"])
+    def test_closed_forms_at_n_300_keep_their_digest(self, monkeypatch, g, digest):
+        reads, plain = [], formulas.signed_digits
+        monkeypatch.setattr(formulas, "signed_digits", lambda v, k: reads.append(k) or plain(v, k))
+        lines = "\n".join(call().to_string() for call in all_cases(g))
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
+        assert 0 < len(reads) < 64  # some cases on each route
+
+    def test_squarefree_once_per_graph(self, monkeypatch):
+        # the 64 cases share one square-free decomposition of p per (f, r)
+        formulas._base.cache_clear()
+        decompositions, plain = [], formulas._squarefree
+        monkeypatch.setattr(formulas, "_squarefree", lambda p: decompositions.append(p) or plain(p))
+        for call in all_cases(petersen_graph()):
+            call()
+        assert len(decompositions) == 1
+
+
+class TestSquarefreeParts:
+    """The square-free parts of p that _base holds, against hand-known Q-spectra: K_n's is
+    2n - 2 and n - 2 (n - 1 times), K_{a,a}'s 2a, a (2a - 2 times) and 0, Petersen's 3 + its
+    adjacency spectrum 3, 1^5, (-2)^4, and C_n's 2 + 2cos(2 pi j / n)."""
+
+    @staticmethod
+    def parts(g):
+        return [(IntPoly(h), k) for h, k in formulas._base(fpoly(g), regularity(g))[2]]
+
+    @pytest.mark.parametrize("g, expected", [
+        (complete_graph(5), [((3,), 4)]),
+        (complete_bipartite_graph(3), [((0,), 1), ((3,), 4)]),
+        (petersen_graph(), [((1,), 4), ((4,), 5)]),
+        (regression_corpus()[2], [((4,), 1), ((1,), 4)]),  # 2C3: f = (lam - 4)^2 (lam - 1)^4
+        (regression_corpus()[4], [((6,), 1), ((2,), 6)]),  # 2K4: f = (lam - 6)^2 (lam - 2)^6
+    ], ids=["K5", "K33", "Petersen", "2C3", "2K4"])
+    def test_known_spectra(self, g, expected):
+        assert self.parts(g) == [(from_roots(*roots), k) for roots, k in expected]
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    def test_odd_cycle_is_one_square(self, n):
+        # q_j = q_(n-j) for j = 1..n-1, and no two of q_1..q_((n-1)/2) are equal when n is odd
+        assert [(h.degree, k) for h, k in self.parts(cycle_graph(n))] == [((n - 1) // 2, 2)]
 
 
 NAMES = ("n", "m", "r", "lam", "q")
